@@ -68,7 +68,6 @@ from .qp_solver import (
     QpIterate,
     QpProblem,
     QpSolution,
-    assemble_normal_matrix_action,
     solve_qp,
     starting_point,
 )

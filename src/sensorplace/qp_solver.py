@@ -12,16 +12,24 @@ normal equation
     (H + D + d_b 1 1^T) dp = rhs,
 
 where D is diagonal and d_b is a scalar, both from the slack/multiplier
-ratios.  When H is supplied in factored form C^T Htilde C (rank N << n),
-the solve uses a truncated eigendecomposition of Htilde, the Woodbury
-identity against D, and a rank-one Sherman-Morrison update for the budget
-term, costing O(n N^2) per iteration; a dense fallback factorizes
-directly.
+ratios.  Each iteration is a Mehrotra predictor-corrector step: an affine
+predictor, the adaptive centering sigma = (mu_aff / mu)^3 with the target
+sigma * mu floored at 0.1 tol, and a corrector carrying the second-order
+term ds_aff * dlam_aff, followed by one step length common to primal and
+dual.  Both solves use the one normal-matrix operator built per iteration.
+
+When H is supplied in factored form C^T Htilde C (rank N << n), the
+truncated eigendecomposition of Htilde gives rows W (r x n, r <= N) with
+H = W^T W; W is formed once per solve.  The operator factors the small
+Woodbury core I + W D^{-1} W^T once per iteration, in O(n r^2), and adds a
+rank-one Sherman-Morrison update for the budget term; each solve then
+costs O(n r).  A dense H, the oracle path, is solved directly.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +42,6 @@ __all__ = [
     "QpIterate",
     "QpSolution",
     "NormalMatrixAction",
-    "assemble_normal_matrix_action",
     "starting_point",
     "solve_qp",
 ]
@@ -51,6 +58,15 @@ DIAGONAL_FLOOR = 1e-14
 # eigenvalue.
 PSD_SLACK = 1e-10
 
+# The centering target sigma * mu never drops below this fraction of the
+# tolerance: pushing mu far past tol leaves the Woodbury solve too few
+# digits to close the dual residual.
+CENTERING_FLOOR = 0.1
+
+# Columns per block when forming the Woodbury core, so no r x n scaled
+# copy of W is allocated on each iteration.
+CORE_BLOCK = 8192
+
 
 @dataclass(frozen=True)
 class LowRankHessian:
@@ -63,9 +79,6 @@ class LowRankHessian:
     def shape(self):
         n = self.coef.shape[1]
         return (n, n)
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.coef.T @ (self.core @ (self.coef @ x))
 
     def dense(self) -> np.ndarray:
         return self.coef.T @ self.core @ self.coef
@@ -94,11 +107,6 @@ class QpProblem:
     @property
     def n(self) -> int:
         return self.g.size
-
-    def hess_matvec(self, x: np.ndarray) -> np.ndarray:
-        if isinstance(self.hess, LowRankHessian):
-            return self.hess.matvec(x)
-        return self.hess @ x
 
 
 @dataclass
@@ -136,81 +144,89 @@ def _rhs_vector(problem: QpProblem) -> np.ndarray:
     return np.concatenate([problem.box_low, -problem.box_high, [-problem.budget_rhs]])
 
 
+def _max_abs(x: np.ndarray) -> float:
+    return float(max(x.max(), -x.min()))
+
+
+def _woodbury_rows(problem: QpProblem):
+    """Rows W with H = W^T W for the truncated factored Hessian.
+
+    W = sqrt(theta) basis^T coef from the kept eigenpairs of the core;
+    scaling sqrt(theta) into the rows makes the Woodbury core
+    I + W D^{-1} W^T, far better conditioned than the raw form with
+    theta^{-1} when theta spans many decades.  None for a dense H.
+    """
+    if not isinstance(problem.hess, LowRankHessian):
+        return None
+    theta, basis = truncated_core(problem.hess.core)
+    return (np.sqrt(theta)[:, None] * basis.T) @ problem.hess.coef
+
+
+def _hess_apply(problem: QpProblem, wrows, x: np.ndarray) -> np.ndarray:
+    # The truncated W^T W throughout, so the Newton model and the
+    # residuals describe the same (PSD-perturbed) problem.
+    if wrows is None:
+        return problem.hess @ x
+    return wrows.T @ (wrows @ x)
+
+
 class NormalMatrixAction:
     """Operator v -> (H + D + d_b 1 1^T) v and its inverse action.
 
-    For factored H the inverse uses the Woodbury identity against the
-    truncated eigendecomposition of the core (pass ``core_factors`` to
-    reuse it across iterations), then a Sherman-Morrison update for the
-    rank-one budget term.
+    For factored H the inverse uses the Woodbury identity against the rows
+    W of the truncated Hessian (pass ``wrows`` to reuse them across
+    iterations), then a Sherman-Morrison update for the rank-one budget
+    term.
     """
 
-    def __init__(self, problem: QpProblem, iterate: QpIterate, core_factors=None):
+    def __init__(self, problem: QpProblem, iterate: QpIterate, wrows=None):
         n = problem.n
         d = iterate.lam / iterate.s
         self.problem = problem
         self.diag = np.maximum(d[:n] + d[n : 2 * n], DIAGONAL_FLOOR)
         self.budget_coeff = float(d[2 * n])
-        self._ones = np.ones(n)
         if isinstance(problem.hess, LowRankHessian):
-            if core_factors is None:
-                core_factors = truncated_core(problem.hess.core)
-            self._core_factors = core_factors
-            theta, basis = core_factors
+            self._wrows = _woodbury_rows(problem) if wrows is None else wrows
             self._dense_solver = None
-            if theta.size:
-                # Scale sqrt(theta) into the rows so the Woodbury core is
-                # I + W D^{-1} W^T: far better conditioned than the raw
-                # form with theta^{-1} when theta spans many decades.
-                self._wrows = np.sqrt(theta)[:, None] * (basis.T @ problem.hess.coef)
-                dinv = 1.0 / self.diag
-                small = np.eye(theta.size) + (self._wrows * dinv[None, :]) @ self._wrows.T
+            self._dinv = 1.0 / self.diag
+            self._small_chol = None
+            if self._wrows.shape[0]:
                 try:
-                    self._small_chol = np.linalg.cholesky(small)
+                    self._small_chol = np.linalg.cholesky(_woodbury_core(self._wrows, self._dinv))
                 except np.linalg.LinAlgError as err:
                     raise NumericalFailure(
                         "inner Woodbury system is singular",
-                        {"size": small.shape[0]},
+                        {"size": self._wrows.shape[0]},
                     ) from err
-            else:
-                self._wrows = None
-                self._small_chol = None
+            # X^{-1} 1 and the denominator of the Sherman-Morrison update.
+            self._xinv_ones = self._solve_no_budget(np.ones(n))
+            self._sm_denom = float(self._xinv_ones.sum()) + 1.0 / self.budget_coeff
         else:
             x = np.asarray(problem.hess, dtype=float).copy()
             x[np.diag_indices(n)] += self.diag
             x += self.budget_coeff
             self._dense_solver = x
-            self._ct = None
-            self._core_factors = None
-        # Cache X^{-1} 1 for the Sherman-Morrison budget update (the dense
-        # path folds the budget term into its factorized matrix instead).
-        self._xinv_ones = None if self._dense_solver is not None else self._solve_no_budget(self._ones)
+            self._wrows = None
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        base = _hess_matvec_trunc(self.problem, self._core_factors, v) + self.diag * v
-        return base + self.budget_coeff * self._ones * v.sum()
+        base = _hess_apply(self.problem, self._wrows, v) + self.diag * v
+        return base + self.budget_coeff * v.sum()
 
     def _solve_no_budget(self, y: np.ndarray) -> np.ndarray:
-        if self._dense_solver is not None:
-            # Dense path folds the budget term into the factorized matrix, so
-            # "no budget" is recovered by Sherman-Morrison in reverse; solve
-            # the full matrix directly instead and skip the update.
-            return np.linalg.solve(self._dense_solver, y)
-        dinv_y = y / self.diag
+        dinv_y = y * self._dinv
         if self._small_chol is None:
             return dinv_y
         t = self._wrows @ dinv_y
         z = np.linalg.solve(self._small_chol, t)
         z = np.linalg.solve(self._small_chol.T, z)
-        return dinv_y - (self._wrows.T @ z) / self.diag
+        return dinv_y - (self._wrows.T @ z) * self._dinv
 
     def _solve_once(self, y: np.ndarray) -> np.ndarray:
-        z = self._solve_no_budget(y)
         if self._dense_solver is not None:
-            return z
-        u = self._xinv_ones
-        denom = self._ones @ u + 1.0 / self.budget_coeff
-        return z - u * (self._ones @ z) / denom
+            # The dense matrix already holds the budget term.
+            return np.linalg.solve(self._dense_solver, y)
+        z = self._solve_no_budget(y)
+        return z - self._xinv_ones * (z.sum() / self._sm_denom)
 
     def solve(self, y: np.ndarray, refine: int = 2) -> np.ndarray:
         """Inverse action with iterative refinement against the exact
@@ -219,10 +235,21 @@ class NormalMatrixAction:
         x = self._solve_once(y)
         for _ in range(refine):
             residual = y - self.apply(x)
-            if np.abs(residual).max() <= 1e-14 * max(1.0, float(np.abs(y).max())):
+            if _max_abs(residual) <= 1e-14 * max(1.0, _max_abs(y)):
                 break
             x = x + self._solve_once(residual)
         return x
+
+
+def _woodbury_core(wrows: np.ndarray, dinv: np.ndarray) -> np.ndarray:
+    """I + W D^{-1} W^T, summed over column blocks of W D^{-1/2}."""
+    r, n = wrows.shape
+    core = np.eye(r)
+    root = np.sqrt(dinv)
+    for j in range(0, n, CORE_BLOCK):
+        ws = wrows[:, j : j + CORE_BLOCK] * root[j : j + CORE_BLOCK]
+        core += ws @ ws.T
+    return core
 
 
 def truncated_core(core: np.ndarray):
@@ -235,11 +262,6 @@ def truncated_core(core: np.ndarray):
         return lam[:0], vec[:, :0]
     keep = lam > CORE_TRUNCATION * lam[0]
     return lam[keep], vec[:, keep]
-
-
-def assemble_normal_matrix_action(problem: QpProblem, iterate: QpIterate) -> NormalMatrixAction:
-    """Build the normal-equation operator for the current iterate."""
-    return NormalMatrixAction(problem, iterate)
 
 
 def starting_point(problem: QpProblem) -> QpIterate:
@@ -279,78 +301,89 @@ def solve_qp(
     problem: QpProblem,
     tol: float = 1e-8,
     max_iter: int = 100,
-    sigma: float = 0.1,
     boundary_factor: float = 0.995,
     log_path=None,
 ) -> QpSolution:
     """Primal-dual interior-point solve to KKT tolerance ``tol``.
 
-    Fixed centering sigma, one corrector-free step per iteration, and the
-    fraction-to-boundary rule applied separately to slacks and
-    multipliers.  Stops when max(||r_d||_inf, ||r_p||_inf, mu) <= tol;
-    raises NonconvergenceError past ``max_iter``.
+    Each iteration builds one ``NormalMatrixAction`` and solves with it
+    twice: an affine predictor (complementarity target 0), then a
+    corrector with the centering target max(sigma mu, 0.1 tol),
+    sigma = (mu_aff / mu)^3, and the second-order term ds_aff * dlam_aff.
+    The floor keeps mu from racing past tol while the dual residual still
+    needs accurate solves.  Primal and dual take one common step length,
+    the fraction-to-boundary rule applied to slacks and multipliers
+    together; separate lengths would add (alpha_p - alpha_d) H dp back
+    into the dual residual.
+
+    Stops when max(||r_d||_inf, ||r_p||_inf, mu) <= tol; raises
+    NumericalFailure as soon as mu, r_d or r_p is not finite, and
+    NonconvergenceError past ``max_iter``.
     """
     _check_psd(problem)
     n = problem.n
     it = starting_point(problem)
     b = _rhs_vector(problem)
-    core_factors = None
-    if isinstance(problem.hess, LowRankHessian):
-        core_factors = truncated_core(problem.hess.core)
+    wrows = _woodbury_rows(problem)
+    target_floor = CENTERING_FLOOR * tol
 
     log_rows = []
     p, s, lam = it.p, it.s, it.lam
-    r_d = r_p = None
-    mu = it.mu
+    m = s.size
+    last = {"mu": None, "r_dual": None, "r_primal": None}
     for k in range(max_iter):
-        hp = _hess_matvec_trunc(problem, core_factors, p)
-        r_d = hp + problem.g - _constraint_apply_t(lam, n)
+        r_d = _hess_apply(problem, wrows, p) + problem.g - _constraint_apply_t(lam, n)
         r_p = _constraint_apply(p) - s - b
-        mu = float(s @ lam / s.size)
-        err_d = float(np.abs(r_d).max())
-        err_p = float(np.abs(r_p).max())
+        mu = float(s @ lam) / m
+        err_d = _max_abs(r_d)
+        err_p = _max_abs(r_p)
+        if not (math.isfinite(mu) and math.isfinite(err_d) and math.isfinite(err_p)):
+            raise NumericalFailure(
+                f"interior-point iterate is not finite at iteration {k}",
+                {"iteration": k, **last},
+            )
         if max(err_d, err_p, mu) <= tol:
             _write_qp_log(log_path, log_rows)
             return QpSolution(p, lam, k, mu, err_d, err_p)
+        last = {"mu": mu, "r_dual": err_d, "r_primal": err_p}
 
         d = lam / s
-        action = NormalMatrixAction(problem, QpIterate(p, s, lam), core_factors)
-        rhs = -r_d + _constraint_apply_t(d * (-r_p - s + sigma * mu / lam), n)
-        dp = action.solve(rhs)
-        ds = _constraint_apply(dp) + r_p
-        dlam = -d * (_constraint_apply(dp) + r_p) - lam + sigma * mu / s
+        action = NormalMatrixAction(problem, QpIterate(p, s, lam), wrows)
+        base = -r_d - _constraint_apply_t(d * r_p, n)
 
-        alpha_p = _fraction_to_boundary(s, ds, boundary_factor)
-        alpha_d = _fraction_to_boundary(lam, dlam, boundary_factor)
-        p = p + alpha_p * dp
-        s = s + alpha_p * ds
-        lam = lam + alpha_d * dlam
-        log_rows.append([k, mu, err_d, err_p, alpha_p, alpha_d])
+        def direction(q):
+            # Newton step whose complementarity rows read
+            # lam * ds + s * dlam = s * q.
+            dp = action.solve(base + _constraint_apply_t(q, n))
+            ds = _constraint_apply(dp) + r_p
+            return dp, ds, q - d * ds
+
+        dp, ds, dlam = direction(-lam)
+        alpha = _step_to_boundary(s, ds, lam, dlam, 1.0)
+        mu_aff = (1.0 - alpha) * mu + alpha * alpha * float(ds @ dlam) / m
+        target = max((mu_aff / mu) ** 3 * mu, target_floor)
+        dp, ds, dlam = direction((target - ds * dlam) / s - lam)
+
+        alpha = _step_to_boundary(s, ds, lam, dlam, boundary_factor)
+        p = p + alpha * dp
+        s = s + alpha * ds
+        lam = lam + alpha * dlam
+        log_rows.append([k, mu, err_d, err_p, alpha, alpha])
 
     _write_qp_log(log_path, log_rows)
     raise NonconvergenceError(
         f"interior-point solve did not reach tol={tol} in {max_iter} iterations",
-        {"mu": mu, "r_dual": float(np.abs(r_d).max()), "r_primal": float(np.abs(r_p).max())},
+        {"mu": mu, "r_dual": err_d, "r_primal": err_p},
     )
 
 
-def _hess_matvec_trunc(problem, core_factors, x):
-    # Use the truncated core consistently so the Newton model and the
-    # residuals describe the same (PSD-perturbed) problem.
-    if core_factors is None:
-        return problem.hess_matvec(x)
-    theta, basis = core_factors
-    if theta.size == 0:
-        return np.zeros_like(x)
-    cx = basis.T @ (problem.hess.coef @ x)
-    return problem.hess.coef.T @ (basis @ (theta * cx))
-
-
-def _fraction_to_boundary(x: np.ndarray, dx: np.ndarray, factor: float) -> float:
-    neg = dx < 0
-    if not np.any(neg):
+def _step_to_boundary(s, ds, lam, dlam, factor: float) -> float:
+    """Common step length: ``factor`` times the largest step keeping
+    s and lam nonnegative, capped at 1."""
+    worst = min(float(np.min(ds / s)), float(np.min(dlam / lam)))
+    if worst >= 0.0:
         return 1.0
-    return float(min(1.0, factor * np.min(-x[neg] / dx[neg])))
+    return min(1.0, -factor / worst)
 
 
 def _write_qp_log(path, rows) -> None:

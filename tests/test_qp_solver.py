@@ -2,16 +2,21 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from sensorplace import (
     LowRankHessian,
     NonconvergenceError,
+    NumericalFailure,
     QpProblem,
-    assemble_normal_matrix_action,
+    qp_solver,
     solve_qp,
     starting_point,
 )
+from sensorplace.qp_solver import NormalMatrixAction
 from oracles import enumerate_box_budget_qp
 
 
@@ -110,7 +115,7 @@ class TestStructuredPath:
         prob = random_problem(rng, n)
         prob.hess = fact
         it = starting_point(prob)
-        action = assemble_normal_matrix_action(prob, it)
+        action = NormalMatrixAction(prob, it)
         v = rng.normal(size=n)
         # against the explicit matrix
         d = it.lam / it.s
@@ -123,7 +128,7 @@ class TestStructuredPath:
         prob = random_problem(rng, n)
         prob.hess = fact
         it = starting_point(prob)
-        action = assemble_normal_matrix_action(prob, it)
+        action = NormalMatrixAction(prob, it)
         d = it.lam / it.s
         x = (
             fact.dense()
@@ -136,10 +141,79 @@ class TestStructuredPath:
     def test_apply_solve_roundtrip(self, rng):
         prob = random_problem(rng, 50, factored=True, n_nodes=9)
         it = starting_point(prob)
-        action = assemble_normal_matrix_action(prob, it)
+        action = NormalMatrixAction(prob, it)
         for _ in range(3):
             v = rng.normal(size=50)
             assert np.abs(action.apply(action.solve(v)) - v).max() < 1e-8
+
+
+@st.composite
+def box_budget_qps(draw):
+    """Box-plus-budget QP with n in [2, 8] and a positive-definite H,
+    drawn like the criterion-4 instances."""
+    n = draw(st.integers(2, 8))
+
+    def array(shape, lo, hi):
+        return draw(hnp.arrays(float, shape, elements=st.floats(lo, hi)))
+
+    root = array((n, n), -1.0, 1.0)
+    low = array(n, -1.0, 0.0)
+    high = low + array(n, 0.5, 1.5)
+    spare = high.sum() - low.sum() - 0.3
+    rhs = low.sum() + 0.3 + draw(st.floats(0.0, 1.0)) * spare
+    return QpProblem(array(n, -2.0, 2.0), root.T @ root + 0.1 * np.eye(n), low, high, rhs)
+
+
+def strict_complementarity_margin(prob, p):
+    """Smallest slack of an inactive constraint or multiplier of an active
+    one at the optimum p; 0 when the multipliers are not unique."""
+    grad = prob.hess @ p + prob.g
+    at_low = np.abs(p - prob.box_low) <= 1e-9
+    at_high = np.abs(p - prob.box_high) <= 1e-9
+    free = ~(at_low | at_high)
+    budget_slack = prob.budget_rhs - p.sum()
+    if budget_slack > 1e-9:
+        lam_b, gaps = 0.0, [budget_slack]
+    elif free.any():
+        lam_b = float(-grad[free].mean())
+        gaps = [lam_b]
+    else:
+        return 0.0
+    gaps += list(grad[at_low] + lam_b) + list(-(grad[at_high] + lam_b))
+    gaps += list(np.minimum(p - prob.box_low, prob.box_high - p)[free])
+    return min(gaps)
+
+
+class TestProperties:
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(box_budget_qps())
+    def test_kkt_and_enumeration_oracle(self, prob):
+        # The criterion-4 tolerances: KKT residuals <= 1e-8 at tol=1e-10
+        # everywhere, and the oracle match <= 1e-6 where the optimum is
+        # strictly complementary (at a degenerate optimum the primal error
+        # of an interior-point stop scales like sqrt(mu)).
+        sol = solve_qp(prob, tol=1e-10)
+        assert max(sol.residual_dual, sol.residual_primal, sol.mu) <= 1e-8
+        p_star, _ = enumerate_box_budget_qp(
+            prob.g, prob.hess, prob.box_low, prob.box_high, prob.budget_rhs
+        )
+        assume(strict_complementarity_margin(prob, p_star) >= 1e-3)
+        assert np.abs(sol.p - p_star).max() <= 1e-6
+
+    def test_one_factorization_per_iteration(self, rng, monkeypatch):
+        built = []
+
+        class CountingAction(NormalMatrixAction):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(qp_solver, "NormalMatrixAction", CountingAction)
+        for factored in (False, True):
+            built.clear()
+            sol = solve_qp(random_problem(rng, 40, factored=factored))
+            assert sol.iterations > 0
+            assert len(built) == sol.iterations
 
 
 class TestStartingPoint:
@@ -178,6 +252,15 @@ class TestErrors:
         with pytest.raises(NonconvergenceError) as err:
             solve_qp(prob, tol=1e-12, max_iter=2)
         assert "mu" in err.value.residuals
+
+    def test_non_finite_gradient_fails_at_once(self, rng):
+        prob = random_problem(rng, 8, factored=True)
+        prob.g[3] = np.nan
+        with pytest.raises(NumericalFailure) as err:
+            solve_qp(prob)
+        assert err.value.diagnostics["iteration"] == 0
+        # no finite iterate came before the failure
+        assert err.value.diagnostics["r_dual"] is None
 
     def test_iteration_log_written(self, rng, tmp_path):
         prob = random_problem(rng, 6)

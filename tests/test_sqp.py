@@ -6,8 +6,10 @@ from numpy.testing import assert_allclose
 
 from sensorplace import (
     BayesSetup,
+    LidarConfig,
     RectDomain,
     SqpConfig,
+    build_lidar_problem,
     build_lowrank,
     build_mesh,
     dense_kernel_matrix,
@@ -140,3 +142,21 @@ class TestSolveRelaxed:
             SqpConfig(epsilon=0.0)
         with pytest.raises(ValueError):
             SqpConfig(backtrack_factor=1.5)
+
+
+class TestThinBudgetSlack:
+    def test_lidar_design_with_thin_budget_slack_converges(self):
+        # Its QP subproblems keep a budget slack as thin as 1e-10.  With
+        # neither the centering floor nor the common step length, the
+        # interior-point corrector loses the Woodbury solve's digits on
+        # such a subproblem and its iterates turn NaN.
+        cfg = LidarConfig(
+            n_d=360, n_r=60, n_x=90, n_t=5, p=3,
+            c1=0.7422522315684428, c2=0.34225132624438126,
+            alpha=0.001801387447868909, r=0.2958487310819663,
+        )
+        prob = build_lidar_problem(cfg, 8.0, criterion="A")
+        res = solve_relaxed(
+            prob.lowrank, prob.setup, float(prob.budget), SqpConfig(), row_group=prob.row_group
+        )
+        assert res.status == "converged"
