@@ -25,8 +25,7 @@ weights = sp.DesignWeights(w, budget=0.3 * n)
 for criterion in ("A", "D"):
     setup = sp.BayesSetup(alpha=0.1, sigma2_noise=1.0, criterion=criterion)
     t0 = time.perf_counter()
-    spectrum = sp.posterior_spectrum(lowrank, weights, setup)
-    value = sp.objective_value(spectrum, setup, n)
+    value = sp.PosteriorEngine(lowrank, setup).value(weights.w)
     t_fast = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -39,7 +38,8 @@ for criterion in ("A", "D"):
     )
 
 setup = sp.BayesSetup(alpha=0.1)
-spectrum = sp.posterior_spectrum(lowrank, weights, setup)
+engine = sp.PosteriorEngine(lowrank, setup)
+spectrum = engine.spectrum(weights.w)
 print(f"\nposterior spectrum: rank {spectrum.rank}, largest eigenvalue {spectrum.lam[0]:.4f}")
 
 v = rng.normal(size=n)
@@ -53,6 +53,6 @@ print(
     f"max deviation from direct solve {np.abs(x - direct).max():.1e}"
 )
 
-deriv = sp.interpolated_derivatives(lowrank, weights, setup, spectrum)
+_, deriv = engine.derivatives(weights.w)
 print(f"gradient entries (first 4): {np.round(deriv.gradient[:4], 8)}")
 print(f"node-space Hessian core shape: {deriv.htilde.shape} (full Hessian never materialized)")

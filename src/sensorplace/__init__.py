@@ -59,9 +59,6 @@ from .objective import (
     dense_objective_value,
     group_reduce,
     group_reduce_matrix,
-    interpolated_derivatives,
-    objective_value,
-    posterior_spectrum,
 )
 from .qp_solver import (
     LowRankHessian,

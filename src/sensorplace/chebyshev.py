@@ -13,7 +13,6 @@ the product of spatial and temporal Lagrange coefficients.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -34,7 +33,6 @@ __all__ = [
     "node_budget",
     "nodes_per_axis",
     "lebesgue_constant",
-    "grid_to_csv",
 ]
 
 
@@ -276,11 +274,3 @@ def lebesgue_constant(grid, sample_count: int = 5001) -> float:
     coef = lagrange_coefficients(grid, xs)
     return float(np.abs(coef).sum(axis=0).max())
 
-
-def grid_to_csv(grid, path) -> None:
-    """Dump interpolation nodes for debugging."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "node"])
-        for i, v in enumerate(grid.nodes):
-            writer.writerow([i, repr(float(v))])

@@ -211,9 +211,11 @@ def _lidar_dict(cfg: LidarConfig) -> dict:
     return {f.name: getattr(cfg, f.name) for f in dataclass_fields(LidarConfig)}
 
 
-def _design_once(spec: RunSpec, assembled: _Assembled, epsilon=None):
+def _design_once(spec: RunSpec, assembled: _Assembled, kernel_matrix=None, epsilon=None):
+    """Relaxed SQP design on the surrogate (or on ``kernel_matrix``), then
+    sum-up rounding in natural or angular order."""
     result = solve_relaxed(
-        assembled.lowrank,
+        assembled.lowrank if kernel_matrix is None else kernel_matrix,
         assembled.setup,
         assembled.budget,
         spec.sqp_config(epsilon),
@@ -225,15 +227,20 @@ def _design_once(spec: RunSpec, assembled: _Assembled, epsilon=None):
     return result, w_int
 
 
-def _write_design_csv(path, w_rel, w_int, angles):
-    with open(path, "w", newline="") as fh:
+def _write_rows(spec: RunSpec, name, header, rows):
+    with open(Path(spec.out) / name, "w", newline="") as fh:
         writer = csv.writer(fh)
-        header = ["index"] + (["angle"] if angles is not None else []) + ["w_rel", "w_int"]
         writer.writerow(header)
-        for i in range(w_rel.size):
-            row = [i] + ([repr(float(angles[i]))] if angles is not None else [])
-            row += [repr(float(w_rel[i])), repr(float(w_int[i]))]
-            writer.writerow(row)
+        writer.writerows(rows)
+
+
+def _write_design_csv(spec: RunSpec, name, w_rel, w_int, angles):
+    header = ["index"] + (["angle"] if angles is not None else []) + ["w_rel", "w_int"]
+    rows = []
+    for i in range(w_rel.size):
+        row = [i] + ([repr(float(angles[i]))] if angles is not None else [])
+        rows.append(row + [repr(float(w_rel[i])), repr(float(w_int[i]))])
+    _write_rows(spec, name, header, rows)
 
 
 def _write_summary(out_dir, payload):
@@ -254,40 +261,31 @@ def _summary_base(spec: RunSpec) -> dict:
 
 
 def cmd_design(spec: RunSpec) -> dict:
-    out_dir = Path(spec.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
     assembled = _assemble(spec)
     result, w_int = _design_once(spec, assembled)
-    elapsed = time.perf_counter() - t0
+    gap = integrality_gap(assembled.lowrank, assembled.setup, result.weights, w_int)
+    relaxed = float(result.objective_trace[-1])
     metrics = {
-        "objective_surrogate_relaxed": float(result.objective_trace[-1]),
-        "objective_surrogate_binary": None,
+        "objective_surrogate_relaxed": relaxed,
+        "objective_surrogate_binary": relaxed + gap.surrogate,
         "iterations": result.iterations,
         "sqp_status": result.status,
         "budget": assembled.budget,
         "sum_w_rel": float(result.weights.w.sum()),
         "sum_w_int": float(w_int.w.sum()),
+        "gap_surrogate": gap.surrogate,
     }
-    gap = integrality_gap(assembled.lowrank, assembled.setup, result.weights, w_int)
-    metrics["objective_surrogate_binary"] = metrics["objective_surrogate_relaxed"] + gap.surrogate
-    metrics["gap_surrogate"] = gap.surrogate
     if assembled.n_ambient <= spec.gap_dense_max_n:
         f_dense = assembled.dense_builder()
         metrics["objective_dense_relaxed"] = dense_objective_value(
             f_dense, result.weights, assembled.setup
         )
         metrics["objective_dense_binary"] = dense_objective_value(f_dense, w_int, assembled.setup)
-    _write_design_csv(out_dir / "design.csv", result.weights.w, w_int.w, assembled.angles)
-    payload = _summary_base(spec)
-    payload.update({"metrics": metrics, "timings": {"wall_seconds": elapsed}, "status": "ok"})
-    _write_summary(out_dir, payload)
-    return payload
+    _write_design_csv(spec, "design.csv", result.weights.w, w_int.w, assembled.angles)
+    return metrics
 
 
 def cmd_oracle(spec: RunSpec) -> dict:
-    out_dir = Path(spec.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     assembled = _assemble(spec)
     f_dense = assembled.dense_builder()
     if max(f_dense.shape) > spec.oracle_cap:
@@ -295,39 +293,17 @@ def cmd_oracle(spec: RunSpec) -> dict:
             f"oracle refuses problems beyond {spec.oracle_cap} rows/cols "
             f"(got {f_dense.shape})"
         )
-    t0 = time.perf_counter()
-    result = solve_relaxed(
-        f_dense,
-        assembled.setup,
-        assembled.budget,
-        SqpConfig(epsilon=1e-8, max_outer=spec.max_outer),
-        row_group=assembled.row_group,
-    )
-    elapsed = time.perf_counter() - t0
-    plan = (natural_plan(result.weights.n_weights) if assembled.angles is None
-            else angular_plan(assembled.angles))
-    w_int = sum_up_round(result.weights, plan)
-    _write_design_csv(out_dir / "oracle.csv", result.weights.w, w_int.w, assembled.angles)
-    payload = _summary_base(spec)
-    payload.update(
-        {
-            "metrics": {
-                "objective_dense_relaxed": float(result.objective_trace[-1]),
-                "objective_dense_binary": dense_objective_value(f_dense, w_int, assembled.setup),
-                "iterations": result.iterations,
-                "sqp_status": result.status,
-            },
-            "timings": {"wall_seconds": elapsed},
-            "status": "ok",
-        }
-    )
-    _write_summary(out_dir, payload)
-    return payload
+    result, w_int = _design_once(spec, assembled, kernel_matrix=f_dense, epsilon=1e-8)
+    _write_design_csv(spec, "oracle.csv", result.weights.w, w_int.w, assembled.angles)
+    return {
+        "objective_dense_relaxed": float(result.objective_trace[-1]),
+        "objective_dense_binary": dense_objective_value(f_dense, w_int, assembled.setup),
+        "iterations": result.iterations,
+        "sqp_status": result.status,
+    }
 
 
 def cmd_gap_sweep(spec: RunSpec) -> dict:
-    out_dir = Path(spec.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     sizes = [int(s) for s in (spec.sizes or [spec.n])]
     if sorted(sizes) != sizes:
         raise ConfigError("sizes must be ascending")
@@ -350,26 +326,13 @@ def cmd_gap_sweep(spec: RunSpec) -> dict:
                              time.perf_counter() - started, "ok"])
             except (NonconvergenceError, NumericalFailure, ValueError) as err:
                 rows.append([n, c, "", "", time.perf_counter() - started, f"error: {err}"])
-    with open(out_dir / "gap_sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "c", "gap_surrogate", "gap_dense", "time_seconds", "status"])
-        writer.writerows(rows)
-    payload = _summary_base(spec)
-    payload.update(
-        {
-            "metrics": {"cells": len(rows),
-                        "failures": sum(1 for r in rows if str(r[-1]).startswith("error"))},
-            "timings": {"wall_seconds": sum(float(r[4]) for r in rows)},
-            "status": "ok",
-        }
-    )
-    _write_summary(out_dir, payload)
-    return payload
+    _write_rows(spec, "gap_sweep.csv",
+                ["n", "c", "gap_surrogate", "gap_dense", "time_seconds", "status"], rows)
+    return {"cells": len(rows),
+            "failures": sum(1 for r in rows if str(r[-1]).startswith("error"))}
 
 
 def cmd_bench(spec: RunSpec) -> dict:
-    out_dir = Path(spec.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     sizes = [int(s) for s in (spec.sizes or [spec.n])]
     rows = []
     for n in sizes:
@@ -382,25 +345,12 @@ def cmd_bench(spec: RunSpec) -> dict:
             times.append(time.perf_counter() - t0)
             iters = result.iterations
         rows.append([n, float(np.median(times)), min(times), max(times), iters])
-    with open(out_dir / "bench.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "median_seconds", "min_seconds", "max_seconds", "iterations"])
-        writer.writerows(rows)
-    payload = _summary_base(spec)
-    payload.update(
-        {
-            "metrics": {"sizes": sizes, "median_seconds": [r[1] for r in rows]},
-            "timings": {"wall_seconds": sum(r[1] for r in rows)},
-            "status": "ok",
-        }
-    )
-    _write_summary(out_dir, payload)
-    return payload
+    _write_rows(spec, "bench.csv",
+                ["n", "median_seconds", "min_seconds", "max_seconds", "iterations"], rows)
+    return {"sizes": sizes, "median_seconds": [r[1] for r in rows]}
 
 
 def cmd_lidar_sanity(spec: RunSpec) -> dict:
-    out_dir = Path(spec.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     orders = [int(p) for p in (spec.sizes or [1, 2, 3, 5])]
 
     def u0(x, y):
@@ -415,20 +365,8 @@ def cmd_lidar_sanity(spec: RunSpec) -> dict:
         coeffs = fourier_coefficients_u0(u0, p)
         recon = reconstruct_u0(coeffs, grid_x, grid_y)
         rows.append([p, float(np.linalg.norm(recon - reference)) / ref_norm])
-    with open(out_dir / "sanity.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["p", "relative_l2_error"])
-        writer.writerows(rows)
-    payload = _summary_base(spec)
-    payload.update(
-        {
-            "metrics": {str(p): err for p, err in rows},
-            "timings": {"wall_seconds": 0.0},
-            "status": "ok",
-        }
-    )
-    _write_summary(out_dir, payload)
-    return payload
+    _write_rows(spec, "sanity.csv", ["p", "relative_l2_error"], rows)
+    return {str(p): err for p, err in rows}
 
 
 _DISPATCH = {
@@ -465,23 +403,29 @@ def main(argv=None) -> int:
         print(f"invalid configuration: {err}", file=sys.stderr)
         return 2
 
-    np.random.seed(spec.seed)  # pipeline is deterministic; seed recorded for sweeps
+    # Every command writes its CSV into the out dir and returns its
+    # metrics; the summary and the timing of the whole command live here.
+    Path(spec.out).mkdir(parents=True, exist_ok=True)
+    t0 = time.perf_counter()
+    error = None
     try:
-        _DISPATCH[spec.command](spec)
+        metrics = _DISPATCH[spec.command](spec)
     except ConfigError as err:
         print(f"invalid configuration: {err}", file=sys.stderr)
         return 2
     except (NonconvergenceError, NumericalFailure) as err:
-        payload = _summary_base(spec)
-        payload.update({"metrics": {}, "timings": {}, "status": "error", "error": str(err)})
-        try:
-            Path(spec.out).mkdir(parents=True, exist_ok=True)
-            _write_summary(spec.out, payload)
-        except OSError:
-            pass
+        metrics, error = {}, str(err)
         print(f"solver failure: {err}", file=sys.stderr)
-        return 3
-    return 0
+    payload = _summary_base(spec)
+    payload.update({
+        "metrics": metrics,
+        "timings": {"wall_seconds": time.perf_counter() - t0},
+        "status": "ok" if error is None else "error",
+    })
+    if error is not None:
+        payload["error"] = error
+    _write_summary(spec.out, payload)
+    return 0 if error is None else 3
 
 
 if __name__ == "__main__":  # pragma: no cover

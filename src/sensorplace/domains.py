@@ -8,7 +8,6 @@ nodes.  Space-time meshes order rows location-major, time-minor.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable
 
@@ -23,8 +22,6 @@ __all__ = [
     "build_disk_mesh",
     "spacetime_mesh",
     "dense_kernel_matrix",
-    "mesh_to_csv",
-    "matrix_to_csv",
     "gaussian_difference_kernel",
     "product_exponential_kernel",
     "cubic_distance_kernel",
@@ -227,36 +224,6 @@ def dense_kernel_matrix(
             F[start:stop] = kernel(xb, yb)
     F *= in_mesh.cell_measure
     return F
-
-
-def mesh_to_csv(mesh: MeshedDomain, path) -> None:
-    """Dump mesh points (index, coordinates, tags) for debugging."""
-    header = ["index"] + [f"x{k}" for k in range(mesh.dim)]
-    extra = []
-    if mesh.sector is not None:
-        header.append("sector")
-        extra.append(mesh.sector)
-    if mesh.angle is not None:
-        header.append("angle")
-        extra.append(mesh.angle)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, pt in enumerate(mesh.points):
-            row = [i] + [repr(float(c)) for c in pt]
-            row += [repr(float(col[i])) for col in extra]
-            writer.writerow(row)
-
-
-def matrix_to_csv(matrix: np.ndarray, path) -> None:
-    """Dump a dense matrix as (row, col, value) triples for debugging."""
-    matrix = np.asarray(matrix)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "col", "value"])
-        for i in range(matrix.shape[0]):
-            for j in range(matrix.shape[1]):
-                writer.writerow([i, j, repr(float(matrix[i, j]))])
 
 
 def scalar_kernel(func: Callable, smoothness: str = "unknown") -> Kernel:

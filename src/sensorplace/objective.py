@@ -6,12 +6,12 @@ posterior covariance of the Bayesian linear inverse problem is
     Gamma_post = sigma2_noise * (F^T W F + alpha I)^(-1),
 
 with W = diag of the per-row weights.  The A-criterion is its trace, the
-D-criterion its log-determinant.  Everything here comes in two routes:
-
-* a fast spectral route through the low-rank surrogate F_s, costing
-  O(n log^2 n) per evaluation, with gradients and Hessians interpolated
-  from node-space matrices M1, M2;
-* an exact dense route used as a validation oracle on small problems.
+D-criterion its log-determinant.  Each quantity has one route:
+``PosteriorEngine`` evaluates the spectrum, value, gradient and
+node-space Hessian through the low-rank surrogate F_s, at O(n log^2 n)
+per evaluation, with gradients and Hessians interpolated from node-space
+matrices M1, M2.  The ``dense_*`` functions factor an explicit F and
+exist only as validation oracles on small problems.
 
 Space-time designs attach one weight to a group of rows (all measurement
 times along one beam); gradients and Hessians then sum the per-row
@@ -34,10 +34,7 @@ __all__ = [
     "PosteriorSpectrum",
     "InterpolatedDerivatives",
     "PosteriorEngine",
-    "posterior_spectrum",
-    "objective_value",
     "apply_posterior_inverse",
-    "interpolated_derivatives",
     "dense_objective_value",
     "dense_objective_and_derivatives",
     "group_reduce",
@@ -288,7 +285,12 @@ class PosteriorEngine:
         return _value_from_eigs(self.eigenvalues(w), self.setup, self.n_ambient)
 
     def derivatives(self, w):
-        """Objective value, per-weight gradient, and node-space Hessian data."""
+        """Objective value, per-weight gradient, and node-space Hessian data.
+
+        Per row i with coefficient vector c_i: the A-gradient is
+        -sigma2 * c_i^T M2 c_i and the Hessian core is 2 sigma2 * M1 o M2
+        (D: -c_i^T M1 c_i and M1 o M1); group entries sum their rows.
+        """
         setup = self.setup
         spectrum = self.spectrum(w)
         value = _value_from_eigs(spectrum.lam, setup, self.n_ambient)
@@ -327,26 +329,16 @@ def _truncate(lam: np.ndarray) -> np.ndarray:
 
 
 def _value_from_eigs(lam: np.ndarray, setup: BayesSetup, n: int) -> float:
+    """Design criterion from the r kept eigenvalues of F^T W F.
+
+    A: sigma2 * ((n - r)/alpha + sum 1/(alpha + lam_i));
+    D: sum log(sigma2/(alpha + lam_i)) + (n - r) log(sigma2/alpha).
+    """
     alpha, s2 = setup.alpha, setup.sigma2_noise
     r = lam.size
     if setup.criterion == "A":
         return float(s2 * ((n - r) / alpha + np.sum(1.0 / (alpha + lam))))
     return float(np.sum(np.log(s2 / (alpha + lam))) + (n - r) * np.log(s2 / alpha))
-
-
-def posterior_spectrum(lowrank: LowRankKernel, weights: DesignWeights, setup: BayesSetup) -> PosteriorSpectrum:
-    """Spectrum of F_s^T W F_s via SVDs of the two thin factors."""
-    engine = PosteriorEngine(lowrank, setup, weights.row_group)
-    return engine.spectrum(weights.w)
-
-
-def objective_value(spectrum: PosteriorSpectrum, setup: BayesSetup, n: int) -> float:
-    """Design criterion from the posterior spectrum.
-
-    A: sigma2 * ((n - r)/alpha + sum 1/(alpha + lam_i));
-    D: sum log(sigma2/(alpha + lam_i)) + (n - r) log(sigma2/alpha).
-    """
-    return _value_from_eigs(spectrum.lam, setup, n)
 
 
 def apply_posterior_inverse(spectrum: PosteriorSpectrum, setup: BayesSetup, v: np.ndarray) -> np.ndarray:
@@ -362,47 +354,6 @@ def apply_posterior_inverse(spectrum: PosteriorSpectrum, setup: BayesSetup, v: n
     shrink = lam / (alpha + lam)
     qtv = q.T @ v
     return (v - q @ (shrink[:, None] * qtv if v.ndim == 2 else shrink * qtv)) / alpha
-
-
-def interpolated_derivatives(
-    lowrank: LowRankKernel,
-    weights: DesignWeights,
-    setup: BayesSetup,
-    spectrum: PosteriorSpectrum | None = None,
-) -> InterpolatedDerivatives:
-    """Gradient and node-space Hessian of the surrogate objective.
-
-    Per row i with coefficient vector c_i: the A-gradient is
-    -sigma2 * c_i^T M2 c_i and the Hessian core is 2 sigma2 * M1 o M2
-    (D: -c_i^T M1 c_i and M1 o M1); group entries sum their rows.
-    Supplying the precomputed spectrum skips the inner SVD pass.
-    """
-    if spectrum is None:
-        spectrum = posterior_spectrum(lowrank, weights, setup)
-    ftil = lowrank.input_factor
-    minv = apply_posterior_inverse(spectrum, setup, ftil)
-    m1 = ftil.T @ minv
-    m1 = 0.5 * (m1 + m1.T)
-    m2 = minv.T @ minv
-    m2 = 0.5 * (m2 + m2.T)
-    coef_rows = lowrank.coef_out
-    if setup.time_precision is not None:
-        coef_rows = _whiten_rows(coef_rows, setup.time_precision, rows_axis=1)
-    if setup.criterion == "A":
-        per_row = -setup.sigma2_noise * np.sum(coef_rows * (m2 @ coef_rows), axis=0)
-        htilde = 2.0 * setup.sigma2_noise * (m1 * m2)
-    else:
-        per_row = -np.sum(coef_rows * (m1 @ coef_rows), axis=0)
-        htilde = m1 * m1
-    row_group = weights.row_group
-    gradient = group_reduce(per_row, row_group, weights.n_weights)
-    if row_group is None:
-        coef_weights = coef_rows
-    else:
-        summed = np.zeros((weights.n_weights, coef_rows.shape[0]))
-        np.add.at(summed, row_group, coef_rows.T)
-        coef_weights = summed.T
-    return InterpolatedDerivatives(m1, m2, htilde, gradient, coef_weights)
 
 
 def dense_objective_value(f_matrix: np.ndarray, weights: DesignWeights, setup: BayesSetup) -> float:

@@ -18,12 +18,12 @@ sigma * mu floored at 0.1 tol, and a corrector carrying the second-order
 term ds_aff * dlam_aff, followed by one step length common to primal and
 dual.  Both solves use the one normal-matrix operator built per iteration.
 
-When H is supplied in factored form C^T Htilde C (rank N << n), the
-truncated eigendecomposition of Htilde gives rows W (r x n, r <= N) with
-H = W^T W; W is formed once per solve.  The operator factors the small
-Woodbury core I + W D^{-1} W^T once per iteration, in O(n r^2), and adds a
-rank-one Sherman-Morrison update for the budget term; each solve then
-costs O(n r).  A dense H, the oracle path, is solved directly.
+H comes in factored form C^T Htilde C (rank N << n); a dense H is taken
+as the core of I^T H I.  The truncated eigendecomposition of the core
+gives rows W (r x n, r <= N) with H = W^T W; W is formed once per solve.
+The operator factors the small Woodbury core I + W D^{-1} W^T once per
+iteration, in O(n r^2), and adds a rank-one Sherman-Morrison update for
+the budget term; each solve then costs O(n r).
 """
 
 from __future__ import annotations
@@ -148,68 +148,56 @@ def _max_abs(x: np.ndarray) -> float:
     return float(max(x.max(), -x.min()))
 
 
-def _woodbury_rows(problem: QpProblem):
+def _factored_hess(problem: QpProblem) -> LowRankHessian:
+    """The Hessian in factored form; a dense H is the core of I^T H I."""
+    if isinstance(problem.hess, LowRankHessian):
+        return problem.hess
+    return LowRankHessian(np.eye(problem.n), np.asarray(problem.hess, dtype=float))
+
+
+def _woodbury_rows(problem: QpProblem) -> np.ndarray:
     """Rows W with H = W^T W for the truncated factored Hessian.
 
     W = sqrt(theta) basis^T coef from the kept eigenpairs of the core;
     scaling sqrt(theta) into the rows makes the Woodbury core
     I + W D^{-1} W^T, far better conditioned than the raw form with
-    theta^{-1} when theta spans many decades.  None for a dense H.
+    theta^{-1} when theta spans many decades.
     """
-    if not isinstance(problem.hess, LowRankHessian):
-        return None
-    theta, basis = truncated_core(problem.hess.core)
-    return (np.sqrt(theta)[:, None] * basis.T) @ problem.hess.coef
-
-
-def _hess_apply(problem: QpProblem, wrows, x: np.ndarray) -> np.ndarray:
-    # The truncated W^T W throughout, so the Newton model and the
-    # residuals describe the same (PSD-perturbed) problem.
-    if wrows is None:
-        return problem.hess @ x
-    return wrows.T @ (wrows @ x)
+    hess = _factored_hess(problem)
+    theta, basis = truncated_core(hess.core)
+    return (np.sqrt(theta)[:, None] * basis.T) @ hess.coef
 
 
 class NormalMatrixAction:
     """Operator v -> (H + D + d_b 1 1^T) v and its inverse action.
 
-    For factored H the inverse uses the Woodbury identity against the rows
-    W of the truncated Hessian (pass ``wrows`` to reuse them across
-    iterations), then a Sherman-Morrison update for the rank-one budget
-    term.
+    The inverse uses the Woodbury identity against the rows W of the
+    truncated Hessian (pass ``wrows`` to reuse them across iterations),
+    then a Sherman-Morrison update for the rank-one budget term.
     """
 
     def __init__(self, problem: QpProblem, iterate: QpIterate, wrows=None):
         n = problem.n
         d = iterate.lam / iterate.s
-        self.problem = problem
         self.diag = np.maximum(d[:n] + d[n : 2 * n], DIAGONAL_FLOOR)
         self.budget_coeff = float(d[2 * n])
-        if isinstance(problem.hess, LowRankHessian):
-            self._wrows = _woodbury_rows(problem) if wrows is None else wrows
-            self._dense_solver = None
-            self._dinv = 1.0 / self.diag
-            self._small_chol = None
-            if self._wrows.shape[0]:
-                try:
-                    self._small_chol = np.linalg.cholesky(_woodbury_core(self._wrows, self._dinv))
-                except np.linalg.LinAlgError as err:
-                    raise NumericalFailure(
-                        "inner Woodbury system is singular",
-                        {"size": self._wrows.shape[0]},
-                    ) from err
-            # X^{-1} 1 and the denominator of the Sherman-Morrison update.
-            self._xinv_ones = self._solve_no_budget(np.ones(n))
-            self._sm_denom = float(self._xinv_ones.sum()) + 1.0 / self.budget_coeff
-        else:
-            x = np.asarray(problem.hess, dtype=float).copy()
-            x[np.diag_indices(n)] += self.diag
-            x += self.budget_coeff
-            self._dense_solver = x
-            self._wrows = None
+        self._wrows = _woodbury_rows(problem) if wrows is None else wrows
+        self._dinv = 1.0 / self.diag
+        self._small_chol = None
+        if self._wrows.shape[0]:
+            try:
+                self._small_chol = np.linalg.cholesky(_woodbury_core(self._wrows, self._dinv))
+            except np.linalg.LinAlgError as err:
+                raise NumericalFailure(
+                    "inner Woodbury system is singular",
+                    {"size": self._wrows.shape[0]},
+                ) from err
+        # X^{-1} 1 and the denominator of the Sherman-Morrison update.
+        self._xinv_ones = self._solve_no_budget(np.ones(n))
+        self._sm_denom = float(self._xinv_ones.sum()) + 1.0 / self.budget_coeff
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        base = _hess_apply(self.problem, self._wrows, v) + self.diag * v
+        base = self._wrows.T @ (self._wrows @ v) + self.diag * v
         return base + self.budget_coeff * v.sum()
 
     def _solve_no_budget(self, y: np.ndarray) -> np.ndarray:
@@ -222,9 +210,6 @@ class NormalMatrixAction:
         return dinv_y - (self._wrows.T @ z) * self._dinv
 
     def _solve_once(self, y: np.ndarray) -> np.ndarray:
-        if self._dense_solver is not None:
-            # The dense matrix already holds the budget term.
-            return np.linalg.solve(self._dense_solver, y)
         z = self._solve_no_budget(y)
         return z - self._xinv_ones * (z.sum() / self._sm_denom)
 
@@ -289,10 +274,8 @@ def starting_point(problem: QpProblem) -> QpIterate:
 
 
 def _check_psd(problem: QpProblem) -> None:
-    if isinstance(problem.hess, LowRankHessian):
-        lam = np.linalg.eigvalsh(0.5 * (problem.hess.core + problem.hess.core.T))
-    else:
-        lam = np.linalg.eigvalsh(0.5 * (problem.hess + np.asarray(problem.hess).T))
+    core = _factored_hess(problem).core
+    lam = np.linalg.eigvalsh(0.5 * (core + core.T))
     if lam.size and lam[0] < -PSD_SLACK * max(lam[-1], 1e-30):
         raise ValueError("Hessian is not positive semi-definite")
 
@@ -332,7 +315,9 @@ def solve_qp(
     m = s.size
     last = {"mu": None, "r_dual": None, "r_primal": None}
     for k in range(max_iter):
-        r_d = _hess_apply(problem, wrows, p) + problem.g - _constraint_apply_t(lam, n)
+        # The truncated H = W^T W throughout, so the Newton model and the
+        # residuals describe the same (PSD-perturbed) problem.
+        r_d = wrows.T @ (wrows @ p) + problem.g - _constraint_apply_t(lam, n)
         r_p = _constraint_apply(p) - s - b
         mu = float(s @ lam) / m
         err_d = _max_abs(r_d)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chebyshev import LowRankKernel
-from .exceptions import NonconvergenceError
+from .exceptions import NonconvergenceError, NumericalFailure
 from .objective import (
     BayesSetup,
     DesignWeights,
@@ -158,6 +158,11 @@ def solve_relaxed(
             raise NonconvergenceError(
                 f"QP subproblem failed at outer iteration {k}: {err}",
                 err.residuals,
+            ) from err
+        except NumericalFailure as err:
+            raise NumericalFailure(
+                f"QP subproblem failed at outer iteration {k}: {err}",
+                err.diagnostics,
             ) from err
         p = sol.p
         slope = float(g @ p)

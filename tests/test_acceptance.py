@@ -26,8 +26,6 @@ from sensorplace import (
     gaussian_difference_kernel,
 
     integrality_gap,
-    interpolated_derivatives,
-    posterior_spectrum,
     product_exponential_kernel,
     solve_qp,
     solve_relaxed,
@@ -168,8 +166,7 @@ def test_criterion_3_spectrum_route():
     worst = 0.0
     for criterion in ("A", "D"):
         setup = BayesSetup(alpha=0.05, sigma2_noise=1.7, criterion=criterion)
-        spectrum = posterior_spectrum(lowrank, weights, setup)
-        via_spectrum = sp.objective_value(spectrum, setup, n)
+        via_spectrum = PosteriorEngine(lowrank, setup).value(weights.w)
         via_dense = dense_objective_value(fs, weights, setup)
         worst = max(worst, abs(via_spectrum - via_dense) / abs(via_dense))
     # cross-check against a plain inverse at a smaller size
@@ -178,9 +175,9 @@ def test_criterion_3_spectrum_route():
     lr2 = build_lowrank(gaussian_difference_kernel(), mesh2, mesh2, out_nodes_each=9)
     w2, b2 = feasible(rng, n2)
     setup2 = BayesSetup(alpha=0.3, criterion="A")
-    spec2 = posterior_spectrum(lr2, DesignWeights(w2, b2), setup2)
+    value2 = PosteriorEngine(lr2, setup2).value(DesignWeights(w2, b2).w)
     direct = dense_value_direct(lr2.dense(), w2, setup2)
-    worst = max(worst, abs(sp.objective_value(spec2, setup2, n2) - direct) / abs(direct))
+    worst = max(worst, abs(value2 - direct) / abs(direct))
     report(3, "spectrum route equals dense", worst <= 1e-8, f"max rel diff {worst:.2e} (<=1e-8)")
 
 
@@ -296,8 +293,7 @@ def test_criterion_7_structural_properties():
         setup = BayesSetup(alpha=1.0, criterion=criterion)
         w, budget = feasible(rng, n)
         weights = DesignWeights(w, budget)
-        spectrum = posterior_spectrum(lowrank, weights, setup)
-        deriv = interpolated_derivatives(lowrank, weights, setup, spectrum)
+        _, deriv = PosteriorEngine(lowrank, setup).derivatives(weights.w)
         hs = deriv.coef_weights.T @ deriv.htilde @ deriv.coef_weights
         eigs = np.linalg.eigvalsh(0.5 * (hs + hs.T))
         psd_ok &= eigs.min() >= -1e-10 * max(eigs.max(), 1e-30)

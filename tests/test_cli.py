@@ -151,6 +151,28 @@ class TestLidarSanity:
         assert rows[3] < 1e-8
 
 
+# Config and extra flags for one small run of each command.
+COMMAND_RUNS = {
+    "design": (TINY_ANALYTIC, []),
+    "oracle": (TINY_ANALYTIC, []),
+    "gap-sweep": (TINY_ANALYTIC, ["--sizes", "16"]),
+    "bench": (TINY_ANALYTIC + "bench_repeats = 1\n", ["--sizes", "16"]),
+    "lidar-sanity": (TINY_LIDAR, ["--sizes", "1,2"]),
+}
+
+
+class TestSummaryTimings:
+    @pytest.mark.parametrize("command", list(COMMAND_RUNS))
+    def test_wall_seconds_positive(self, tmp_path, command):
+        config, extra = COMMAND_RUNS[command]
+        cfg = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        assert main(["--command", command, "--config", cfg, "--out", str(out), *extra]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "ok"
+        assert summary["timings"]["wall_seconds"] > 0.0
+
+
 class TestExitCodes:
     def test_invalid_config_is_2(self, tmp_path):
         assert main(["--command", "design", "--config", "/missing.cfg"]) == 2

@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,7 +12,7 @@ from sensorplace import (
     scalar_kernel,
     spacetime_mesh,
 )
-from sensorplace.domains import Kernel, matrix_to_csv, mesh_to_csv
+from sensorplace.domains import Kernel
 
 
 class TestRectDomain:
@@ -134,25 +132,3 @@ class TestDenseKernelMatrix:
             [spatial.points[i1, 0] + 10.0 * times[i2] for i1 in range(3) for i2 in range(2)]
         )
         assert_allclose(f[:, 0] / spatial.cell_measure, expected_col)
-
-
-class TestCsvExports:
-    def test_mesh_roundtrip(self, tmp_path):
-        mesh = build_disk_mesh(DiskSensorDomain(3, 2))
-        path = tmp_path / "mesh.csv"
-        mesh_to_csv(mesh, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["index", "x0", "x1", "sector", "angle"]
-        assert len(rows) == 1 + mesh.n_points
-        got = np.array([[float(r[1]), float(r[2])] for r in rows[1:]])
-        assert_allclose(got, mesh.points)
-
-    def test_matrix_export(self, tmp_path):
-        path = tmp_path / "f.csv"
-        matrix_to_csv(np.array([[1.5, 2.0]]), path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["row", "col", "value"]
-        assert float(rows[1][2]) == 1.5
-        assert float(rows[2][2]) == 2.0

@@ -16,9 +16,6 @@ from sensorplace import (
     gaussian_difference_kernel,
     group_reduce,
     group_reduce_matrix,
-    interpolated_derivatives,
-    objective_value,
-    posterior_spectrum,
 )
 from oracles import dense_value_direct, dense_value_fn, finite_difference_gradient
 
@@ -64,7 +61,7 @@ class TestPosteriorSpectrum:
     def test_zero_weights(self, rng):
         lowrank = random_lowrank(rng)
         weights = DesignWeights(np.zeros(50), 10.0)
-        spectrum = posterior_spectrum(lowrank, weights, BayesSetup(alpha=1.0))
+        spectrum = PosteriorEngine(lowrank, BayesSetup(alpha=1.0)).spectrum(weights.w)
         assert spectrum.rank == 0
 
     def test_rank_one(self):
@@ -72,14 +69,14 @@ class TestPosteriorSpectrum:
         v = np.array([[3.0, 0.0, 4.0]])
         lowrank = LowRankKernel(u, np.eye(1), v)
         weights = DesignWeights(np.ones(3), 3.0)
-        spectrum = posterior_spectrum(lowrank, weights, BayesSetup(alpha=1.0))
+        spectrum = PosteriorEngine(lowrank, BayesSetup(alpha=1.0)).spectrum(weights.w)
         assert spectrum.rank == 1
         assert spectrum.lam[0] == pytest.approx(9.0 * 25.0)
 
     def test_matches_dense_eigensolve(self, rng):
         lowrank = random_lowrank(rng, n=50, n_nodes=9)
         weights = feasible_weights(rng, 50)
-        spectrum = posterior_spectrum(lowrank, weights, BayesSetup(alpha=0.3))
+        spectrum = PosteriorEngine(lowrank, BayesSetup(alpha=0.3)).spectrum(weights.w)
         fs = lowrank.dense()
         gram = fs.T @ (weights.row_weights()[:, None] * fs)
         lam_dense = np.linalg.eigvalsh(gram)[::-1][: spectrum.rank]
@@ -88,7 +85,7 @@ class TestPosteriorSpectrum:
     def test_orthonormal_factor_reconstructs(self, rng):
         lowrank = random_lowrank(rng, n=40, n_nodes=7)
         weights = feasible_weights(rng, 40)
-        spectrum = posterior_spectrum(lowrank, weights, BayesSetup(alpha=1.0))
+        spectrum = PosteriorEngine(lowrank, BayesSetup(alpha=1.0)).spectrum(weights.w)
         q, lam = spectrum.q, spectrum.lam
         assert np.abs(q.T @ q - np.eye(spectrum.rank)).max() < 1e-10
         fs = lowrank.dense()
@@ -99,26 +96,23 @@ class TestPosteriorSpectrum:
 
 class TestObjectiveValue:
     def test_identity_posterior(self):
-        spectrum = posterior_spectrum(
-            random_lowrank(np.random.default_rng(0)),
-            DesignWeights(np.zeros(50), 1.0),
-            BayesSetup(alpha=1.0),
-        )
-        assert objective_value(spectrum, BayesSetup(alpha=1.0), 7) == pytest.approx(7.0)
+        # the engine takes n from the kernel's 7 columns
+        lowrank = random_lowrank(np.random.default_rng(0), n=7)
+        engine = PosteriorEngine(lowrank, BayesSetup(alpha=1.0))
+        assert engine.value(DesignWeights(np.zeros(7), 1.0).w) == pytest.approx(7.0)
 
     def test_single_eigenvalue(self):
-        u = np.array([[1.0]])
-        lowrank = LowRankKernel(u, np.eye(1), u)
-        spectrum = posterior_spectrum(lowrank, DesignWeights(np.ones(1), 1.0), BayesSetup(alpha=1.0))
-        assert objective_value(spectrum, BayesSetup(alpha=1.0), 2) == pytest.approx(1.5)
+        # one row, two columns: n = 2 comes from coef_in
+        lowrank = LowRankKernel(np.array([[1.0]]), np.eye(1), np.array([[1.0, 0.0]]))
+        engine = PosteriorEngine(lowrank, BayesSetup(alpha=1.0))
+        assert engine.value(DesignWeights(np.ones(1), 1.0).w) == pytest.approx(1.5)
 
     @pytest.mark.parametrize("criterion", ["A", "D"])
     def test_matches_dense_inverse_oracle(self, rng, criterion):
         lowrank = random_lowrank(rng, n=30, n_nodes=6)
         weights = feasible_weights(rng, 30)
         setup = BayesSetup(alpha=0.7, sigma2_noise=1.9, criterion=criterion)
-        spectrum = posterior_spectrum(lowrank, weights, setup)
-        value = objective_value(spectrum, setup, 30)
+        value = PosteriorEngine(lowrank, setup).value(weights.w)
         direct = dense_value_direct(lowrank.dense(), weights.row_weights(), setup)
         assert value == pytest.approx(direct, rel=1e-9)
 
@@ -126,7 +120,8 @@ class TestObjectiveValue:
 class TestApplyPosteriorInverse:
     def test_zero_spectrum(self, rng):
         lowrank = random_lowrank(rng)
-        spectrum = posterior_spectrum(lowrank, DesignWeights(np.zeros(50), 1.0), BayesSetup(alpha=2.0))
+        engine = PosteriorEngine(lowrank, BayesSetup(alpha=2.0))
+        spectrum = engine.spectrum(DesignWeights(np.zeros(50), 1.0).w)
         v = rng.normal(size=50)
         assert_allclose(apply_posterior_inverse(spectrum, BayesSetup(alpha=2.0), v), v / 2.0)
 
@@ -134,7 +129,7 @@ class TestApplyPosteriorInverse:
         lowrank = random_lowrank(rng, n=20, n_nodes=4)
         weights = feasible_weights(rng, 20)
         setup = BayesSetup(alpha=0.5)
-        spectrum = posterior_spectrum(lowrank, weights, setup)
+        spectrum = PosteriorEngine(lowrank, setup).spectrum(weights.w)
         v = spectrum.q[:, 0]
         out = apply_posterior_inverse(spectrum, setup, v)
         assert_allclose(out, v / (0.5 + spectrum.lam[0]), atol=1e-12)
@@ -143,7 +138,7 @@ class TestApplyPosteriorInverse:
         lowrank = random_lowrank(rng, n=35, n_nodes=8)
         weights = feasible_weights(rng, 35)
         setup = BayesSetup(alpha=0.9)
-        spectrum = posterior_spectrum(lowrank, weights, setup)
+        spectrum = PosteriorEngine(lowrank, setup).spectrum(weights.w)
         fs = lowrank.dense()
         gram = fs.T @ (weights.row_weights()[:, None] * fs) + 0.9 * np.eye(35)
         v = rng.normal(size=35)
@@ -165,9 +160,8 @@ class TestInterpolatedDerivatives:
         n = lowrank.n_rows
         weights = feasible_weights(rng, n)
         setup = BayesSetup(alpha=0.4, sigma2_noise=1.2, criterion=criterion)
-        spectrum = posterior_spectrum(lowrank, weights, setup)
-        deriv = interpolated_derivatives(lowrank, weights, setup, spectrum)
         engine = PosteriorEngine(lowrank, setup)
+        _, deriv = engine.derivatives(weights.w)
         fd = finite_difference_gradient(lambda w: engine.value(np.clip(w, 0, 1)), weights.w)
         fd_vec = np.array([fd[i] for i in range(n)])
         rel = np.linalg.norm(deriv.gradient - fd_vec) / np.linalg.norm(fd_vec)
@@ -177,8 +171,7 @@ class TestInterpolatedDerivatives:
         lowrank = self.surrogate_problem(rng, n=15, n_nodes=5)
         weights = DesignWeights(np.zeros(15), 5.0)
         setup = BayesSetup(alpha=1.0, sigma2_noise=1.0, criterion="A")
-        spectrum = posterior_spectrum(lowrank, weights, setup)
-        deriv = interpolated_derivatives(lowrank, weights, setup, spectrum)
+        _, deriv = PosteriorEngine(lowrank, setup).derivatives(weights.w)
         b = lowrank.input_factor
         assert_allclose(deriv.m1, b.T @ b, rtol=1e-12, atol=1e-14)
         assert_allclose(deriv.m2, b.T @ b, rtol=1e-12, atol=1e-14)
@@ -194,8 +187,7 @@ class TestInterpolatedDerivatives:
         n = lowrank.n_rows
         weights = feasible_weights(rng, n)
         setup = BayesSetup(alpha=1.0, criterion="A")
-        spectrum = posterior_spectrum(lowrank, weights, setup)
-        deriv = interpolated_derivatives(lowrank, weights, setup, spectrum)
+        _, deriv = PosteriorEngine(lowrank, setup).derivatives(weights.w)
         h_interp = deriv.coef_weights.T @ deriv.htilde @ deriv.coef_weights
         _, _, h_dense = dense_objective_and_derivatives(lowrank.dense(), weights, setup)
         assert np.abs(h_interp - h_dense).max() <= 1e-4 * max(1.0, np.abs(h_dense).max())
@@ -205,8 +197,7 @@ class TestInterpolatedDerivatives:
         weights = feasible_weights(rng, lowrank.n_rows)
         for criterion in ("A", "D"):
             setup = BayesSetup(alpha=0.2, criterion=criterion)
-            spectrum = posterior_spectrum(lowrank, weights, setup)
-            deriv = interpolated_derivatives(lowrank, weights, setup, spectrum)
+            _, deriv = PosteriorEngine(lowrank, setup).derivatives(weights.w)
             eigs = np.linalg.eigvalsh(deriv.htilde)
             assert eigs.min() >= -1e-10 * max(eigs.max(), 1e-30)
 
@@ -345,7 +336,6 @@ class TestStructuralProperties:
         weights = feasible_weights(rng, 60)
         for criterion in ("A", "D"):
             setup = BayesSetup(alpha=0.05, sigma2_noise=2.0, criterion=criterion)
-            spectrum = posterior_spectrum(lowrank, weights, setup)
-            via_spectrum = objective_value(spectrum, setup, 60)
+            via_spectrum = PosteriorEngine(lowrank, setup).value(weights.w)
             via_dense = dense_objective_value(lowrank.dense(), weights, setup)
             assert via_spectrum == pytest.approx(via_dense, rel=1e-8)

@@ -138,6 +138,14 @@ class TestStructuredPath:
         v = rng.normal(size=n)
         assert_allclose(action.solve(v), np.linalg.solve(x, v), atol=1e-9)
 
+    def test_dense_zero_hessian_is_diagonal_plus_rank_one(self):
+        # A dense H = 0 truncates to an empty Woodbury core: the linear
+        # program picks the two steepest coordinates.
+        n = 6
+        g = -np.array([3.0, 2.5, 1.0, 0.5, 0.25, 0.1])
+        sol = solve_qp(QpProblem(g, np.zeros((n, n)), np.zeros(n), np.ones(n), 2.0), tol=1e-10)
+        assert_allclose(sol.p, [1.0, 1.0, 0.0, 0.0, 0.0, 0.0], atol=1e-8)
+
     def test_apply_solve_roundtrip(self, rng):
         prob = random_problem(rng, 50, factored=True, n_nodes=9)
         it = starting_point(prob)

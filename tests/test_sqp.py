@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import sensorplace.sqp as sqp_module
 from sensorplace import (
     BayesSetup,
     LidarConfig,
+    NumericalFailure,
     RectDomain,
     SqpConfig,
     build_lidar_problem,
@@ -136,6 +138,27 @@ class TestSolveRelaxed:
                             SqpConfig(epsilon=1e-14, max_outer=1))
         assert res.status == "max_iter"
         assert res.iterations == 1
+
+    def test_qp_numerical_failure_names_outer_iteration(self, monkeypatch):
+        real_solve_qp = sqp_module.solve_qp
+        calls = []
+        diagnostics = {"iteration": 16, "mu": 2.5e-3, "r_dual": 1e-2, "r_primal": 3e-4}
+
+        def fail_on_second_call(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise NumericalFailure("interior-point iterate is not finite at iteration 16",
+                                       diagnostics)
+            return real_solve_qp(*args, **kwargs)
+
+        monkeypatch.setattr(sqp_module, "solve_qp", fail_on_second_call)
+        mesh, f, _ = interval_problem(15)
+        with pytest.raises(NumericalFailure) as info:
+            solve_relaxed(f, BayesSetup(alpha=1.0), 4.0, SqpConfig(epsilon=1e-12))
+        message = str(info.value)
+        assert "outer iteration 1" in message
+        assert "not finite at iteration 16" in message
+        assert info.value.diagnostics == diagnostics
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
