@@ -1,16 +1,16 @@
-"""Command-line entry point for design runs, oracles, sweeps, and benchmarks.
+"""Command-line entry point for design runs, oracles, and sweeps.
 
 Commands
 --------
 design        surrogate SQP + sum-up rounding; writes design.csv, summary.json
 oracle        dense-F SQP with exact derivatives (validation baseline)
 gap-sweep     integrality gaps over problem sizes x node constants
-bench         wall-time scaling of the surrogate pipeline over sizes
 lidar-sanity  truncated-series reconstruction error per mode cutoff
 
 Configuration is a flat key = value text file (``#`` comments allowed);
 ``--command`` and other flags override file entries.  Exit codes:
-0 success, 2 invalid configuration, 3 solver failure.
+0 success, 2 invalid configuration, 3 solver failure.  Per-layer timing
+lives in the benchmark, ``python3 perfbench/run.py``.
 """
 
 from __future__ import annotations
@@ -41,9 +41,9 @@ from .rounding import angular_plan, integrality_gap, natural_plan, sum_up_round
 from .sqp import SqpConfig, solve_relaxed
 
 __all__ = ["RunSpec", "main", "parse_config", "cmd_design", "cmd_oracle",
-           "cmd_gap_sweep", "cmd_bench", "cmd_lidar_sanity"]
+           "cmd_gap_sweep", "cmd_lidar_sanity"]
 
-COMMANDS = ("design", "oracle", "gap-sweep", "bench", "lidar-sanity")
+COMMANDS = ("design", "oracle", "gap-sweep", "lidar-sanity")
 
 ANALYTIC_KERNELS = {
     "gauss": gaussian_difference_kernel,
@@ -77,8 +77,6 @@ class RunSpec:
     # dense-oracle limits
     oracle_cap: int = 2000
     gap_dense_max_n: int = 4000
-    # bench
-    bench_repeats: int = 3
     lidar: LidarConfig | None = None
     sizes: list = field(default_factory=list)
     constants: list = field(default_factory=list)
@@ -106,12 +104,16 @@ def parse_config(path) -> dict:
     return entries
 
 
-_LIDAR_KEYS = {f.name for f in dataclass_fields(LidarConfig)}
-_INT_KEYS = {"seed", "n", "max_outer", "oracle_cap", "gap_dense_max_n", "bench_repeats",
-             "n_t", "p", "n_d", "n_r", "n_x"}
-_FLOAT_KEYS = {"node_constant", "budget_fraction", "alpha", "sigma2_noise", "epsilon",
-               "c1", "c2", "mu", "horizon", "r"}
-_STR_KEYS = {"command", "problem", "criterion", "out"}
+def _scalar_types(cls) -> dict:
+    """Key -> parser (the type of its default) for the scalar fields of ``cls``."""
+    return {f.name: type(f.default) for f in dataclass_fields(cls)
+            if isinstance(f.default, (int, float, str))}
+
+
+# A key shared by both (alpha, sigma2_noise) belongs to the spec, which
+# hands it on to the lidar config.
+_SPEC_TYPES = _scalar_types(RunSpec)
+_LIDAR_TYPES = {k: t for k, t in _scalar_types(LidarConfig).items() if k not in _SPEC_TYPES}
 
 
 def build_runspec(entries: dict, overrides: dict) -> RunSpec:
@@ -123,21 +125,17 @@ def build_runspec(entries: dict, overrides: dict) -> RunSpec:
         if key in ("sizes", "constants"):
             setattr(spec, key, value if isinstance(value, list) else _parse_list(value))
             continue
+        parse = _SPEC_TYPES.get(key) or _LIDAR_TYPES.get(key)
+        if parse is None:
+            raise ConfigError(f"unknown configuration key: {key}")
         try:
-            if key in _LIDAR_KEYS and key not in ("alpha", "sigma2_noise", "r"):
-                lidar_kwargs[key] = int(value) if key in _INT_KEYS else float(value)
-            elif key in _INT_KEYS:
-                setattr(spec, key, int(value))
-            elif key in _FLOAT_KEYS:
-                setattr(spec, key, float(value))
-            elif key in _STR_KEYS:
-                setattr(spec, key, str(value))
-            else:
-                raise ConfigError(f"unknown configuration key: {key}")
+            parsed = parse(value)
         except (TypeError, ValueError) as err:
-            if isinstance(err, ConfigError):
-                raise
             raise ConfigError(f"bad value for {key}: {value}") from err
+        if key in _SPEC_TYPES:
+            setattr(spec, key, parsed)
+        else:
+            lidar_kwargs[key] = parsed
     if spec.command not in COMMANDS:
         raise ConfigError(f"command must be one of {COMMANDS}")
     if spec.problem not in ("lidar", *ANALYTIC_KERNELS):
@@ -146,13 +144,8 @@ def build_runspec(entries: dict, overrides: dict) -> RunSpec:
         raise ConfigError("criterion must be A or D")
     if spec.problem == "lidar":
         try:
-            # alpha / sigma2_noise / r are shared keys: feed them to the
-            # lidar config as well.
-            lidar_kwargs.setdefault("alpha", spec.alpha)
-            lidar_kwargs.setdefault("sigma2_noise", spec.sigma2_noise)
-            if "r" in merged:
-                lidar_kwargs["r"] = float(merged["r"])
-            spec.lidar = LidarConfig(**lidar_kwargs)
+            spec.lidar = LidarConfig(alpha=spec.alpha, sigma2_noise=spec.sigma2_noise,
+                                     **lidar_kwargs)
         except (TypeError, ValueError) as err:
             raise ConfigError(f"bad lidar configuration: {err}") from err
     elif lidar_kwargs:
@@ -287,12 +280,12 @@ def cmd_design(spec: RunSpec) -> dict:
 
 def cmd_oracle(spec: RunSpec) -> dict:
     assembled = _assemble(spec)
-    f_dense = assembled.dense_builder()
-    if max(f_dense.shape) > spec.oracle_cap:
+    shape = (assembled.lowrank.n_rows, assembled.lowrank.n_cols)
+    if max(shape) > spec.oracle_cap:
         raise ConfigError(
-            f"oracle refuses problems beyond {spec.oracle_cap} rows/cols "
-            f"(got {f_dense.shape})"
+            f"oracle refuses problems beyond {spec.oracle_cap} rows/cols (got {shape})"
         )
+    f_dense = assembled.dense_builder()
     result, w_int = _design_once(spec, assembled, kernel_matrix=f_dense, epsilon=1e-8)
     _write_design_csv(spec, "oracle.csv", result.weights.w, w_int.w, assembled.angles)
     return {
@@ -332,24 +325,6 @@ def cmd_gap_sweep(spec: RunSpec) -> dict:
             "failures": sum(1 for r in rows if str(r[-1]).startswith("error"))}
 
 
-def cmd_bench(spec: RunSpec) -> dict:
-    sizes = [int(s) for s in (spec.sizes or [spec.n])]
-    rows = []
-    for n in sizes:
-        times = []
-        iters = 0
-        for _ in range(max(1, spec.bench_repeats)):
-            t0 = time.perf_counter()
-            assembled = _assemble(spec, size=n)
-            result, _ = _design_once(spec, assembled)
-            times.append(time.perf_counter() - t0)
-            iters = result.iterations
-        rows.append([n, float(np.median(times)), min(times), max(times), iters])
-    _write_rows(spec, "bench.csv",
-                ["n", "median_seconds", "min_seconds", "max_seconds", "iterations"], rows)
-    return {"sizes": sizes, "median_seconds": [r[1] for r in rows]}
-
-
 def cmd_lidar_sanity(spec: RunSpec) -> dict:
     orders = [int(p) for p in (spec.sizes or [1, 2, 3, 5])]
 
@@ -373,7 +348,6 @@ _DISPATCH = {
     "design": cmd_design,
     "oracle": cmd_oracle,
     "gap-sweep": cmd_gap_sweep,
-    "bench": cmd_bench,
     "lidar-sanity": cmd_lidar_sanity,
 }
 

@@ -97,14 +97,6 @@ class DesignWeights:
             return self.w
         return self.w[self.row_group]
 
-    def group_rows(self) -> list[np.ndarray]:
-        """Rows owned by each weight, the map view of ``row_group``."""
-        if self.row_group is None:
-            return [np.array([i]) for i in range(self.n_weights)]
-        order = np.argsort(self.row_group, kind="stable")
-        splits = np.searchsorted(self.row_group[order], np.arange(1, self.n_weights))
-        return np.split(order, splits)
-
 
 @dataclass(frozen=True)
 class BayesSetup:

@@ -28,7 +28,6 @@ the budget term; each solve then costs O(n r).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -74,11 +73,6 @@ class LowRankHessian:
 
     coef: np.ndarray
     core: np.ndarray
-
-    @property
-    def shape(self):
-        n = self.coef.shape[1]
-        return (n, n)
 
     def dense(self) -> np.ndarray:
         return self.coef.T @ self.core @ self.coef
@@ -238,9 +232,12 @@ def _woodbury_core(wrows: np.ndarray, dinv: np.ndarray) -> np.ndarray:
 
 
 def truncated_core(core: np.ndarray):
-    """Eigendecomposition of the PSD core, keeping values above threshold."""
+    """Eigendecomposition of the PSD core (ValueError if it is not),
+    keeping values above threshold."""
     core = 0.5 * (core + core.T)
     lam, vec = np.linalg.eigh(core)
+    if lam.size and lam[0] < -PSD_SLACK * max(lam[-1], 1e-30):
+        raise ValueError("Hessian is not positive semi-definite")
     lam = lam[::-1]
     vec = vec[:, ::-1]
     if lam.size == 0 or lam[0] <= 0.0:
@@ -273,19 +270,11 @@ def starting_point(problem: QpProblem) -> QpIterate:
     return QpIterate(p, s, lam)
 
 
-def _check_psd(problem: QpProblem) -> None:
-    core = _factored_hess(problem).core
-    lam = np.linalg.eigvalsh(0.5 * (core + core.T))
-    if lam.size and lam[0] < -PSD_SLACK * max(lam[-1], 1e-30):
-        raise ValueError("Hessian is not positive semi-definite")
-
-
 def solve_qp(
     problem: QpProblem,
     tol: float = 1e-8,
     max_iter: int = 100,
     boundary_factor: float = 0.995,
-    log_path=None,
 ) -> QpSolution:
     """Primal-dual interior-point solve to KKT tolerance ``tol``.
 
@@ -303,14 +292,12 @@ def solve_qp(
     NumericalFailure as soon as mu, r_d or r_p is not finite, and
     NonconvergenceError past ``max_iter``.
     """
-    _check_psd(problem)
     n = problem.n
+    wrows = _woodbury_rows(problem)  # rejects a non-PSD Hessian
     it = starting_point(problem)
     b = _rhs_vector(problem)
-    wrows = _woodbury_rows(problem)
     target_floor = CENTERING_FLOOR * tol
 
-    log_rows = []
     p, s, lam = it.p, it.s, it.lam
     m = s.size
     last = {"mu": None, "r_dual": None, "r_primal": None}
@@ -328,7 +315,6 @@ def solve_qp(
                 {"iteration": k, **last},
             )
         if max(err_d, err_p, mu) <= tol:
-            _write_qp_log(log_path, log_rows)
             return QpSolution(p, lam, k, mu, err_d, err_p)
         last = {"mu": mu, "r_dual": err_d, "r_primal": err_p}
 
@@ -353,9 +339,7 @@ def solve_qp(
         p = p + alpha * dp
         s = s + alpha * ds
         lam = lam + alpha * dlam
-        log_rows.append([k, mu, err_d, err_p, alpha, alpha])
 
-    _write_qp_log(log_path, log_rows)
     raise NonconvergenceError(
         f"interior-point solve did not reach tol={tol} in {max_iter} iterations",
         {"mu": mu, "r_dual": err_d, "r_primal": err_p},
@@ -369,12 +353,3 @@ def _step_to_boundary(s, ds, lam, dlam, factor: float) -> float:
     if worst >= 0.0:
         return 1.0
     return min(1.0, -factor / worst)
-
-
-def _write_qp_log(path, rows) -> None:
-    if path is None:
-        return
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "mu", "r_dual", "r_primal", "alpha_primal", "alpha_dual"])
-        writer.writerows(rows)

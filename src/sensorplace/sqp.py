@@ -14,7 +14,6 @@ falls below ``epsilon``.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,7 +120,6 @@ def solve_relaxed(
     budget: float,
     config: SqpConfig = SqpConfig(),
     row_group=None,
-    log_path=None,
 ) -> SqpResult:
     """Minimize the relaxed design criterion over 0 <= w <= 1, sum w <= n0.
 
@@ -139,7 +137,6 @@ def solve_relaxed(
     trace = [current]
     steps: list[float] = []
     qp_iters: list[int] = []
-    log_rows = []
     status = "max_iter"
     iterations = 0
 
@@ -193,12 +190,10 @@ def solve_relaxed(
         trace.append(candidate_value)
         steps.append(alpha)
         qp_iters.append(sol.iterations)
-        log_rows.append([k, candidate_value, alpha, slope, sol.iterations])
         if current - candidate_value < config.epsilon:
             status = "converged"
             break
 
-    _write_sqp_log(log_path, log_rows)
     weights = DesignWeights(w, budget, row_group=row_group)
     return SqpResult(
         weights=weights,
@@ -209,12 +204,3 @@ def solve_relaxed(
         step_lengths=steps,
         qp_iterations=qp_iters,
     )
-
-
-def _write_sqp_log(path, rows) -> None:
-    if path is None:
-        return
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "objective", "step_length", "slope", "qp_iterations"])
-        writer.writerows(rows)

@@ -96,7 +96,14 @@ class TestOracleCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert "objective_dense_relaxed" in summary["metrics"]
 
-    def test_cap_refusal(self, tmp_path):
+    def test_cap_refusal(self, tmp_path, monkeypatch):
+        import sensorplace.cli as cli_module
+
+        def no_dense_f(*args, **kwargs):
+            raise AssertionError("dense F built before the cap check")
+
+        # The cap is checked on the surrogate's shape, before any dense F.
+        monkeypatch.setattr(cli_module, "dense_kernel_matrix", no_dense_f)
         cfg = write_config(tmp_path, TINY_ANALYTIC + "oracle_cap = 10\n")
         assert main(["--command", "oracle", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
 
@@ -125,19 +132,6 @@ class TestGapSweep:
         assert code == 2
 
 
-class TestBench:
-    def test_bench_csv(self, tmp_path):
-        cfg = write_config(tmp_path, TINY_ANALYTIC + "bench_repeats = 2\n")
-        out = tmp_path / "bench"
-        assert main(["--command", "bench", "--config", cfg, "--sizes", "16,32",
-                     "--out", str(out)]) == 0
-        with open(out / "bench.csv", newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0][0] == "n"
-        assert len(rows) == 3
-        assert float(rows[1][1]) > 0.0
-
-
 class TestLidarSanity:
     def test_reconstruction_errors(self, tmp_path):
         cfg = write_config(tmp_path, TINY_LIDAR)
@@ -156,7 +150,6 @@ COMMAND_RUNS = {
     "design": (TINY_ANALYTIC, []),
     "oracle": (TINY_ANALYTIC, []),
     "gap-sweep": (TINY_ANALYTIC, ["--sizes", "16"]),
-    "bench": (TINY_ANALYTIC + "bench_repeats = 1\n", ["--sizes", "16"]),
     "lidar-sanity": (TINY_LIDAR, ["--sizes", "1,2"]),
 }
 
@@ -176,6 +169,12 @@ class TestSummaryTimings:
 class TestExitCodes:
     def test_invalid_config_is_2(self, tmp_path):
         assert main(["--command", "design", "--config", "/missing.cfg"]) == 2
+
+    def test_lidar_key_r_for_analytic_problem_is_2(self, tmp_path):
+        cfg = write_config(tmp_path, TINY_ANALYTIC + "r = 0.3\n")
+        out = tmp_path / "r"
+        assert main(["--command", "design", "--config", cfg, "--out", str(out)]) == 2
+        assert not (out / "summary.json").exists()
 
     def test_solver_failure_is_3(self, tmp_path, monkeypatch):
         import sensorplace.cli as cli_module

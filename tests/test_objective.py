@@ -52,9 +52,6 @@ class TestDesignWeights:
     def test_group_views(self):
         w = DesignWeights(np.array([0.2, 0.7]), 2.0, row_group=np.array([0, 1, 0, 1]))
         assert_allclose(w.row_weights(), [0.2, 0.7, 0.2, 0.7])
-        rows = w.group_rows()
-        assert_allclose(rows[0], [0, 2])
-        assert_allclose(rows[1], [1, 3])
 
 
 class TestPosteriorSpectrum:
