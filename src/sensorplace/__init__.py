@@ -53,8 +53,6 @@ from .objective import (
     DesignWeights,
     InterpolatedDerivatives,
     PosteriorEngine,
-    PosteriorSpectrum,
-    apply_posterior_inverse,
     dense_objective_and_derivatives,
     dense_objective_value,
     group_reduce,

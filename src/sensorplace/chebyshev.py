@@ -223,12 +223,12 @@ def build_lowrank(
     in_mesh: MeshedDomain,
     budget: int | None = None,
     out_nodes_each: int | None = None,
-    in_nodes_each: int | None = None,
 ) -> LowRankKernel:
     """Build the Chebyshev surrogate of the kernel matrix.
 
     Per-axis node counts default to max(2, ceil(budget**(1/d))) with d the
-    dimension of each domain; for a space-time output mesh time counts as
+    dimension of each domain; without a budget the input axes take
+    ``out_nodes_each`` too.  For a space-time output mesh time counts as
     one axis of the output domain and is interpolated like the spatial
     ones (a single-time mesh keeps that time as an exact sample node).
     A disk output mesh is interpolated on its bounding square.
@@ -241,8 +241,7 @@ def build_lowrank(
     d_in = in_mesh.dim
     if out_nodes_each is None:
         out_nodes_each = nodes_per_axis(budget, d_out)
-    if in_nodes_each is None:
-        in_nodes_each = out_nodes_each if budget is None else nodes_per_axis(budget, d_in)
+    in_nodes_each = out_nodes_each if budget is None else nodes_per_axis(budget, d_in)
     if out_nodes_each < 2 or in_nodes_each < 2:
         raise ValueError("need at least 2 nodes per axis")
 

@@ -168,8 +168,7 @@ class _Assembled:
     budget: float
     row_group: np.ndarray | None
     angles: np.ndarray | None
-    dense_builder: object  # () -> dense F
-    n_ambient: int
+    dense_builder: object  # () -> dense F, of the surrogate's shape
 
 
 def _assemble(spec: RunSpec, size=None, constant=None) -> _Assembled:
@@ -186,7 +185,6 @@ def _assemble(spec: RunSpec, size=None, constant=None) -> _Assembled:
             prob.row_group,
             prob.sector_angles,
             lambda: prob.dense_f,
-            prob.lowrank.n_cols,
         )
     n = spec.n if size is None else size
     mesh = build_mesh(RectDomain((-1.0,), (1.0,)), n)
@@ -196,7 +194,7 @@ def _assemble(spec: RunSpec, size=None, constant=None) -> _Assembled:
     lowrank = build_lowrank(kern, mesh, mesh, node_budget(constant, n))
     return _Assembled(
         lowrank, setup, budget, None, None,
-        lambda: dense_kernel_matrix(kern, mesh, mesh), n,
+        lambda: dense_kernel_matrix(kern, mesh, mesh),
     )
 
 
@@ -268,7 +266,7 @@ def cmd_design(spec: RunSpec) -> dict:
         "sum_w_int": float(w_int.w.sum()),
         "gap_surrogate": gap.surrogate,
     }
-    if assembled.n_ambient <= spec.gap_dense_max_n:
+    if max(assembled.lowrank.n_rows, assembled.lowrank.n_cols) <= spec.gap_dense_max_n:
         f_dense = assembled.dense_builder()
         metrics["objective_dense_relaxed"] = dense_objective_value(
             f_dense, result.weights, assembled.setup
@@ -309,7 +307,7 @@ def cmd_gap_sweep(spec: RunSpec) -> dict:
                 assembled = _assemble(spec, size=n, constant=c)
                 result, w_int = _design_once(spec, assembled)
                 dense_f = None
-                if assembled.n_ambient <= spec.gap_dense_max_n:
+                if max(assembled.lowrank.n_rows, assembled.lowrank.n_cols) <= spec.gap_dense_max_n:
                     dense_f = assembled.dense_builder()
                 gap = integrality_gap(
                     assembled.lowrank, assembled.setup, result.weights, w_int, dense_f=dense_f

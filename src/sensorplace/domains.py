@@ -28,6 +28,10 @@ __all__ = [
     "scalar_kernel",
 ]
 
+# Rows of F evaluated per block by ``dense_kernel_matrix``, bounding the
+# (rows, n_in, d) coordinate temporaries.
+DENSE_BLOCK_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class RectDomain:
@@ -114,7 +118,6 @@ class Kernel:
     """
 
     evaluator: Callable[..., np.ndarray]
-    smoothness: str = "unknown"
 
     def __call__(self, x, y, t=None):
         if t is None:
@@ -195,7 +198,6 @@ def dense_kernel_matrix(
     out_mesh: MeshedDomain,
     in_mesh: MeshedDomain,
     times=None,
-    block_rows: int = 4096,
 ) -> np.ndarray:
     """Full matrix F with F[i, j] = f(x_i, y_j[, t_i]) * cell_measure(in).
 
@@ -213,8 +215,8 @@ def dense_kernel_matrix(
     Y = in_mesh.points
     n, m = X.shape[0], Y.shape[0]
     F = np.empty((n, m))
-    for start in range(0, n, block_rows):
-        stop = min(start + block_rows, n)
+    for start in range(0, n, DENSE_BLOCK_ROWS):
+        stop = min(start + DENSE_BLOCK_ROWS, n)
         xb = X[start:stop, None, :d_out]
         yb = Y[None, :, :]
         if has_time:
@@ -226,7 +228,7 @@ def dense_kernel_matrix(
     return F
 
 
-def scalar_kernel(func: Callable, smoothness: str = "unknown") -> Kernel:
+def scalar_kernel(func: Callable) -> Kernel:
     """Wrap a scalar f(x, y[, t]) of coordinate tuples into a Kernel."""
 
     def evaluator(x, y, t=None):
@@ -244,7 +246,7 @@ def scalar_kernel(func: Callable, smoothness: str = "unknown") -> Kernel:
             out[idx] = func(tuple(xb[idx]), tuple(yb[idx]), float(tb[idx][0]))
         return out
 
-    return Kernel(evaluator, smoothness)
+    return Kernel(evaluator)
 
 
 def gaussian_difference_kernel() -> Kernel:
@@ -254,7 +256,7 @@ def gaussian_difference_kernel() -> Kernel:
         d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
         return np.exp(-np.sum(d * d, axis=-1))
 
-    return Kernel(evaluator, "analytic")
+    return Kernel(evaluator)
 
 
 def product_exponential_kernel() -> Kernel:
@@ -265,7 +267,7 @@ def product_exponential_kernel() -> Kernel:
         y = np.asarray(y, dtype=float)
         return np.exp(np.sum(x * y, axis=-1))
 
-    return Kernel(evaluator, "analytic")
+    return Kernel(evaluator)
 
 
 def cubic_distance_kernel() -> Kernel:
@@ -279,4 +281,4 @@ def cubic_distance_kernel() -> Kernel:
         d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
         return np.sum(d * d, axis=-1) ** 1.5
 
-    return Kernel(evaluator, "C2")
+    return Kernel(evaluator)

@@ -175,7 +175,7 @@ def advdiff_kernel(cfg: LidarConfig) -> Kernel:
         drift = np.exp(g * t + a * x[..., 0] + b * x[..., 1] - a * y[..., 0] - b * y[..., 1])
         return drift * acc
 
-    return Kernel(evaluator, "analytic")
+    return Kernel(evaluator)
 
 
 def build_spacetime_F(cfg: LidarConfig, disk_mesh: MeshedDomain, input_mesh: MeshedDomain):

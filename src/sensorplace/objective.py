@@ -7,11 +7,14 @@ posterior covariance of the Bayesian linear inverse problem is
 
 with W = diag of the per-row weights.  The A-criterion is its trace, the
 D-criterion its log-determinant.  Each quantity has one route:
-``PosteriorEngine`` evaluates the spectrum, value, gradient and
-node-space Hessian through the low-rank surrogate F_s, at O(n log^2 n)
-per evaluation, with gradients and Hessians interpolated from node-space
-matrices M1, M2.  The ``dense_*`` functions factor an explicit F and
-exist only as validation oracles on small problems.
+``PosteriorEngine`` evaluates the eigenvalues, value, gradient and
+node-space Hessian through the low-rank surrogate F_s.  With the input
+factor B = Q R (R small, Q never formed) and F_s^T W F_s = B G B^T, all
+of them come from one eigendecomposition of the small core R G R^T, at
+O(n log^2 n) per evaluation; gradients and Hessians are interpolated
+from the node-space matrices M1, M2 built from that eigendecomposition.
+The ``dense_*`` functions factor an explicit F and exist only as
+validation oracles on small problems.
 
 Space-time designs attach one weight to a group of rows (all measurement
 times along one beam); gradients and Hessians then sum the per-row
@@ -31,10 +34,8 @@ from .exceptions import NumericalFailure
 __all__ = [
     "DesignWeights",
     "BayesSetup",
-    "PosteriorSpectrum",
     "InterpolatedDerivatives",
     "PosteriorEngine",
-    "apply_posterior_inverse",
     "dense_objective_value",
     "dense_objective_and_derivatives",
     "group_reduce",
@@ -132,27 +133,6 @@ class BayesSetup:
 
 
 @dataclass(frozen=True)
-class PosteriorSpectrum:
-    """Orthonormal factor Q and eigenvalues of F_s^T W F_s.
-
-    Enables O(n log n) objective values and inverse applications:
-    F_s^T W F_s = Q diag(lam) Q^T with lam descending and truncated at
-    SPECTRUM_TRUNCATION relative to the largest.
-    """
-
-    q: np.ndarray
-    lam: np.ndarray
-
-    @property
-    def rank(self) -> int:
-        return self.lam.size
-
-    @property
-    def n(self) -> int:
-        return self.q.shape[0]
-
-
-@dataclass(frozen=True)
 class InterpolatedDerivatives:
     """Node-space derivative data for the surrogate objective.
 
@@ -202,12 +182,17 @@ def _whiten_rows(coef_or_matrix: np.ndarray, time_precision: np.ndarray, rows_ax
 class PosteriorEngine:
     """Repeated-evaluation workhorse for one surrogate kernel.
 
-    Precomputes the weight-independent SVD of the input factor
-    B = coef_in^T node_values^T once, after which each objective value
-    costs one small eigendecomposition: F_s^T W F_s = B G B^T with
-    G = coef_out W coef_out^T, so the nonzero spectrum is that of
-    (S1 V1^T) G (V1 S1).  With row groups, per-group Gram matrices are
-    precomputed and G is their weighted sum.
+    Factors the weight-independent input factor
+    B = coef_in^T node_values^T = Q R once and keeps only R (r1 x N).
+    With G = coef_out W coef_out^T, F_s^T W F_s = Q (R G R^T) Q^T, so its
+    nonzero spectrum is that of the small core K = R G R^T and each
+    evaluation costs one r1 x r1 eigendecomposition.  With
+    K = V diag(lam) V^T and T = V^T R,
+
+        M_k = B^T (F_s^T W F_s + alpha I)^(-k) B = T^T diag((alpha + lam)^(-k)) T,
+
+    where a truncated eigenvalue counts as 0.  With row groups, per-group
+    Gram matrices are precomputed and G is their weighted sum.
     """
 
     def __init__(self, lowrank: LowRankKernel, setup: BayesSetup, row_group=None):
@@ -219,16 +204,14 @@ class PosteriorEngine:
         self.row_group = None if row_group is None else np.asarray(row_group, dtype=int)
         self.n_ambient = lowrank.n_cols
         b = lowrank.input_factor  # (n_cols, N_out)
-        try:
-            u1, s1, v1t = np.linalg.svd(b, full_matrices=False)
-        except np.linalg.LinAlgError as err:
+        self.r_factor = np.linalg.qr(b, mode="r")  # (r1, N_out)
+        # QR has no convergence failure; a NaN in B would otherwise
+        # surface only at the first evaluation.
+        if not np.all(np.isfinite(self.r_factor)):
             raise NumericalFailure(
-                "SVD of the input factor failed",
+                "QR factor of the input factor is not finite",
                 {"shape": b.shape, "fro_norm": float(np.linalg.norm(b))},
-            ) from err
-        self.u1 = u1
-        self.sv1t = s1[:, None] * v1t  # (r1, N_out)
-        self.input_columns = b  # columns ftil_i live along axis 1
+            )
         if self.row_group is not None:
             self.n_weights = int(self.row_group.max()) + 1
             _check_groups(self.row_group, self.n_weights)
@@ -252,7 +235,7 @@ class PosteriorEngine:
 
     def _core_eigh(self, w):
         g = self.weighted_gram(w)
-        k = self.sv1t @ g @ self.sv1t.T
+        k = self.r_factor @ g @ self.r_factor.T
         k = 0.5 * (k + k.T)
         try:
             lam, vec = np.linalg.eigh(k)
@@ -267,12 +250,6 @@ class PosteriorEngine:
         lam, _ = self._core_eigh(w)
         return _truncate(lam)
 
-    def spectrum(self, w) -> PosteriorSpectrum:
-        lam, vec = self._core_eigh(w)
-        lam = _truncate(lam)
-        q = self.u1 @ vec[:, : lam.size]
-        return PosteriorSpectrum(q, lam)
-
     def value(self, w) -> float:
         return _value_from_eigs(self.eigenvalues(w), self.setup, self.n_ambient)
 
@@ -282,22 +259,27 @@ class PosteriorEngine:
         Per row i with coefficient vector c_i: the A-gradient is
         -sigma2 * c_i^T M2 c_i and the Hessian core is 2 sigma2 * M1 o M2
         (D: -c_i^T M1 c_i and M1 o M1); group entries sum their rows.
+        With M_k = S_k^T S_k, c_i^T M_k c_i is the squared norm of S_k c_i.
         """
         setup = self.setup
-        spectrum = self.spectrum(w)
-        value = _value_from_eigs(spectrum.lam, setup, self.n_ambient)
-        ftil = self.input_columns
-        minv = apply_posterior_inverse(spectrum, setup, ftil)
-        m1 = ftil.T @ minv
-        m1 = 0.5 * (m1 + m1.T)
-        m2 = minv.T @ minv
-        m2 = 0.5 * (m2 + m2.T)
+        lam, vec = self._core_eigh(w)
+        kept = _truncate(lam)
+        value = _value_from_eigs(kept, setup, self.n_ambient)
+        inv = np.full(lam.size, 1.0 / setup.alpha)
+        inv[: kept.size] = 1.0 / (setup.alpha + kept)
+        t = vec.T @ self.r_factor
+        s1 = np.sqrt(inv)[:, None] * t
+        s2 = inv[:, None] * t
+        m1 = s1.T @ s1
+        m2 = s2.T @ s2
         c = self.coef_rows
         if setup.criterion == "A":
-            per_row = -setup.sigma2_noise * np.sum(c * (m2 @ c), axis=0)
+            sc = s2 @ c
+            per_row = -setup.sigma2_noise * np.einsum("ij,ij->j", sc, sc)
             htilde = 2.0 * setup.sigma2_noise * (m1 * m2)
         else:
-            per_row = -np.sum(c * (m1 @ c), axis=0)
+            sc = s1 @ c
+            per_row = -np.einsum("ij,ij->j", sc, sc)
             htilde = m1 * m1
         gradient = group_reduce(per_row, self.row_group, self.n_weights)
         return value, InterpolatedDerivatives(m1, m2, htilde, gradient, self.coef_weights)
@@ -331,21 +313,6 @@ def _value_from_eigs(lam: np.ndarray, setup: BayesSetup, n: int) -> float:
     if setup.criterion == "A":
         return float(s2 * ((n - r) / alpha + np.sum(1.0 / (alpha + lam))))
     return float(np.sum(np.log(s2 / (alpha + lam))) + (n - r) * np.log(s2 / alpha))
-
-
-def apply_posterior_inverse(spectrum: PosteriorSpectrum, setup: BayesSetup, v: np.ndarray) -> np.ndarray:
-    """(F_s^T W F_s + alpha I)^(-1) v through the spectrum.
-
-    Works columnwise for 2-D ``v``; costs O(n r) per column.
-    """
-    alpha = setup.alpha
-    lam = spectrum.lam
-    q = spectrum.q
-    if lam.size == 0:
-        return np.asarray(v, dtype=float) / alpha
-    shrink = lam / (alpha + lam)
-    qtv = q.T @ v
-    return (v - q @ (shrink[:, None] * qtv if v.ndim == 2 else shrink * qtv)) / alpha
 
 
 def dense_objective_value(f_matrix: np.ndarray, weights: DesignWeights, setup: BayesSetup) -> float:

@@ -66,6 +66,12 @@ CENTERING_FLOOR = 0.1
 # copy of W is allocated on each iteration.
 CORE_BLOCK = 8192
 
+# Fraction of the largest step to the boundary that an iterate takes.
+BOUNDARY_FACTOR = 0.995
+
+# Iterative-refinement steps of each normal-matrix solve.
+REFINE_STEPS = 2
+
 
 @dataclass(frozen=True)
 class LowRankHessian:
@@ -207,12 +213,12 @@ class NormalMatrixAction:
         z = self._solve_no_budget(y)
         return z - self._xinv_ones * (z.sum() / self._sm_denom)
 
-    def solve(self, y: np.ndarray, refine: int = 2) -> np.ndarray:
+    def solve(self, y: np.ndarray) -> np.ndarray:
         """Inverse action with iterative refinement against the exact
         operator; the Woodbury path loses digits when the interior-point
         diagonal spans many orders of magnitude."""
         x = self._solve_once(y)
-        for _ in range(refine):
+        for _ in range(REFINE_STEPS):
             residual = y - self.apply(x)
             if _max_abs(residual) <= 1e-14 * max(1.0, _max_abs(y)):
                 break
@@ -274,7 +280,6 @@ def solve_qp(
     problem: QpProblem,
     tol: float = 1e-8,
     max_iter: int = 100,
-    boundary_factor: float = 0.995,
 ) -> QpSolution:
     """Primal-dual interior-point solve to KKT tolerance ``tol``.
 
@@ -335,7 +340,7 @@ def solve_qp(
         target = max((mu_aff / mu) ** 3 * mu, target_floor)
         dp, ds, dlam = direction((target - ds * dlam) / s - lam)
 
-        alpha = _step_to_boundary(s, ds, lam, dlam, boundary_factor)
+        alpha = _step_to_boundary(s, ds, lam, dlam, BOUNDARY_FACTOR)
         p = p + alpha * dp
         s = s + alpha * ds
         lam = lam + alpha * dlam

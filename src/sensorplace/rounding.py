@@ -38,7 +38,6 @@ class RoundingPlan:
     """Scan order for the rounding rule; ``order`` is a permutation."""
 
     order: np.ndarray
-    scheme: str = "natural"
 
     def __post_init__(self):
         order = np.asarray(self.order, dtype=int)
@@ -48,13 +47,13 @@ class RoundingPlan:
 
 
 def natural_plan(n: int) -> RoundingPlan:
-    return RoundingPlan(np.arange(n), "natural")
+    return RoundingPlan(np.arange(n))
 
 
 def angular_plan(angles) -> RoundingPlan:
     """Round sector weights in increasing beam angle."""
     angles = np.asarray(angles, dtype=float)
-    return RoundingPlan(np.argsort(angles, kind="stable"), "by_angle")
+    return RoundingPlan(np.argsort(angles, kind="stable"))
 
 
 def sum_up_round(weights: DesignWeights, plan: RoundingPlan | None = None) -> DesignWeights:

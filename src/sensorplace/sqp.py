@@ -31,25 +31,26 @@ from .qp_solver import LowRankHessian, QpProblem, solve_qp
 
 __all__ = ["SqpConfig", "SqpResult", "initial_point", "solve_relaxed"]
 
+# Line-search recipe: shrink the step by BACKTRACK_FACTOR until the
+# sufficient-decrease test with coefficient SUFFICIENT_DECREASE holds, at
+# most MAX_BACKTRACKS times.
+BACKTRACK_FACTOR = 0.5
+SUFFICIENT_DECREASE = 1e-3
+MAX_BACKTRACKS = 40
+
+# KKT tolerance and iteration cap of each QP subproblem.
+QP_TOL = 1e-8
+QP_MAX_ITER = 100
+
 
 @dataclass(frozen=True)
 class SqpConfig:
-    """Outer-loop constants; defaults follow the line-search recipe
-    (shrink factor 0.5, sufficient-decrease coefficient 1e-3)."""
+    """Outer-loop stopping threshold and iteration cap."""
 
     epsilon: float = 1e-3
-    backtrack_factor: float = 0.5
-    sufficient_decrease: float = 1e-3
     max_outer: int = 200
-    max_backtracks: int = 40
-    qp_tol: float = 1e-8
-    qp_max_iter: int = 100
 
     def __post_init__(self):
-        if not (0.0 < self.backtrack_factor < 1.0):
-            raise ValueError("backtrack_factor must lie in (0, 1)")
-        if not (0.0 < self.sufficient_decrease < 1.0):
-            raise ValueError("sufficient_decrease must lie in (0, 1)")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
 
@@ -62,7 +63,6 @@ class SqpResult:
     iterations: int
     status: str
     step_lengths: list = field(default_factory=list)
-    qp_iterations: list = field(default_factory=list)
 
 
 def initial_point(n_weights: int, budget: float, row_group=None) -> DesignWeights:
@@ -127,6 +127,12 @@ def solve_relaxed(
     (exact oracle mode).  Line-search objective values use the same route
     as the derivatives, so the Armijo test sees the function the model
     describes.  QP failures propagate with the outer-iteration context.
+
+    ``status`` is ``converged`` when a stopping test holds, ``max_outer``
+    when ``config.max_outer`` outer iterations ran out first, and
+    ``line_search_failed`` when no step length in MAX_BACKTRACKS
+    backtracks met the sufficient-decrease test (``iterations`` counts
+    that failed iteration; the weights stay at the last accepted point).
     """
     model = _make_model(kernel_matrix, setup, row_group)
     n_w = model.n_weights
@@ -136,8 +142,7 @@ def solve_relaxed(
     current = model.value(w)
     trace = [current]
     steps: list[float] = []
-    qp_iters: list[int] = []
-    status = "max_iter"
+    status = "max_outer"
     iterations = 0
 
     for k in range(config.max_outer):
@@ -150,7 +155,7 @@ def solve_relaxed(
             budget_rhs=budget - w.sum(),
         )
         try:
-            sol = solve_qp(qp, tol=config.qp_tol, max_iter=config.qp_max_iter)
+            sol = solve_qp(qp, tol=QP_TOL, max_iter=QP_MAX_ITER)
         except NonconvergenceError as err:
             raise NonconvergenceError(
                 f"QP subproblem failed at outer iteration {k}: {err}",
@@ -173,23 +178,22 @@ def solve_relaxed(
         alpha = 1.0
         accepted = False
         candidate_value = current
-        for _ in range(config.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             candidate = np.clip(w + alpha * p, 0.0, 1.0)
             candidate_value = model.value(candidate)
-            if candidate_value <= current + config.sufficient_decrease * alpha * slope:
+            if candidate_value <= current + SUFFICIENT_DECREASE * alpha * slope:
                 accepted = True
                 break
-            alpha *= config.backtrack_factor
+            alpha *= BACKTRACK_FACTOR
         iterations = k + 1
         if not accepted:
-            status = "max_iter"
+            status = "line_search_failed"
             break
 
         w = np.clip(w + alpha * p, 0.0, 1.0)
         dual = dual + alpha * (sol.lam - dual)
         trace.append(candidate_value)
         steps.append(alpha)
-        qp_iters.append(sol.iterations)
         if current - candidate_value < config.epsilon:
             status = "converged"
             break
@@ -202,5 +206,4 @@ def solve_relaxed(
         iterations=iterations,
         status=status,
         step_lengths=steps,
-        qp_iterations=qp_iters,
     )

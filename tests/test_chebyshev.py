@@ -114,7 +114,7 @@ class TestBuildLowRank:
 
     def test_geometric_decay_for_analytic_kernel(self):
         mesh = build_mesh(RectDomain((-1.0,), (1.0,)), 40)
-        kern = Kernel(lambda x, y: np.exp(x[..., 0] + y[..., 0]), "analytic")
+        kern = Kernel(lambda x, y: np.exp(x[..., 0] + y[..., 0]))
         dense = dense_kernel_matrix(kern, mesh, mesh)
         errs = []
         for n_each in (4, 8):
@@ -125,7 +125,7 @@ class TestBuildLowRank:
     def test_affine_mapping_offcenter_domain(self):
         out_mesh = build_mesh(RectDomain((2.0,), (5.0,)), 15)
         in_mesh = build_mesh(RectDomain((-3.0,), (-1.0,)), 12)
-        kern = Kernel(lambda x, y: np.exp(-0.3 * (x[..., 0] - y[..., 0]) ** 2), "analytic")
+        kern = Kernel(lambda x, y: np.exp(-0.3 * (x[..., 0] - y[..., 0]) ** 2))
         dense = dense_kernel_matrix(kern, out_mesh, in_mesh)
         lowrank = build_lowrank(kern, out_mesh, in_mesh, out_nodes_each=14)
         assert np.abs(lowrank.dense() - dense).max() < 1e-9

@@ -80,6 +80,20 @@ class TestDesignCommand:
         w_rel = np.array([float(r[2]) for r in rows[1:]])
         assert abs(w_int.sum() - w_rel.sum()) <= 0.5 + 1e-9
 
+    def test_dense_guard_counts_rows(self, tmp_path, monkeypatch):
+        import sensorplace.lidar as lidar_module
+
+        def no_dense_f(*args, **kwargs):
+            raise AssertionError("dense F built although its rows exceed the guard")
+
+        # TINY_LIDAR's F is 64 x 36: its columns pass a guard of 40, its rows do not.
+        monkeypatch.setattr(lidar_module, "build_spacetime_F", no_dense_f)
+        cfg = write_config(tmp_path, TINY_LIDAR + "gap_dense_max_n = 40\n")
+        out = tmp_path / "guard"
+        assert main(["--command", "design", "--config", cfg, "--out", str(out)]) == 0
+        metrics = json.loads((out / "summary.json").read_text())["metrics"]
+        assert not any(key.startswith("objective_dense_") for key in metrics)
+
     def test_deterministic_reruns(self, tmp_path):
         cfg = write_config(tmp_path, TINY_ANALYTIC)
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -6,9 +6,9 @@ from sensorplace import (
     BayesSetup,
     DesignWeights,
     LowRankKernel,
+    NumericalFailure,
     PosteriorEngine,
     RectDomain,
-    apply_posterior_inverse,
     build_lowrank,
     build_mesh,
     dense_objective_and_derivatives,
@@ -58,37 +58,32 @@ class TestPosteriorSpectrum:
     def test_zero_weights(self, rng):
         lowrank = random_lowrank(rng)
         weights = DesignWeights(np.zeros(50), 10.0)
-        spectrum = PosteriorEngine(lowrank, BayesSetup(alpha=1.0)).spectrum(weights.w)
-        assert spectrum.rank == 0
+        lam = PosteriorEngine(lowrank, BayesSetup(alpha=1.0)).eigenvalues(weights.w)
+        assert lam.size == 0
 
     def test_rank_one(self):
         u = np.array([[1.0, 2.0, 2.0]])  # coef_out with one node
         v = np.array([[3.0, 0.0, 4.0]])
         lowrank = LowRankKernel(u, np.eye(1), v)
         weights = DesignWeights(np.ones(3), 3.0)
-        spectrum = PosteriorEngine(lowrank, BayesSetup(alpha=1.0)).spectrum(weights.w)
-        assert spectrum.rank == 1
-        assert spectrum.lam[0] == pytest.approx(9.0 * 25.0)
+        lam = PosteriorEngine(lowrank, BayesSetup(alpha=1.0)).eigenvalues(weights.w)
+        assert lam.size == 1
+        assert lam[0] == pytest.approx(9.0 * 25.0)
 
     def test_matches_dense_eigensolve(self, rng):
         lowrank = random_lowrank(rng, n=50, n_nodes=9)
         weights = feasible_weights(rng, 50)
-        spectrum = PosteriorEngine(lowrank, BayesSetup(alpha=0.3)).spectrum(weights.w)
+        lam = PosteriorEngine(lowrank, BayesSetup(alpha=0.3)).eigenvalues(weights.w)
         fs = lowrank.dense()
         gram = fs.T @ (weights.row_weights()[:, None] * fs)
-        lam_dense = np.linalg.eigvalsh(gram)[::-1][: spectrum.rank]
-        assert_allclose(spectrum.lam, lam_dense, rtol=1e-8, atol=1e-10)
+        lam_dense = np.linalg.eigvalsh(gram)[::-1][: lam.size]
+        assert_allclose(lam, lam_dense, rtol=1e-8, atol=1e-10)
 
-    def test_orthonormal_factor_reconstructs(self, rng):
-        lowrank = random_lowrank(rng, n=40, n_nodes=7)
-        weights = feasible_weights(rng, 40)
-        spectrum = PosteriorEngine(lowrank, BayesSetup(alpha=1.0)).spectrum(weights.w)
-        q, lam = spectrum.q, spectrum.lam
-        assert np.abs(q.T @ q - np.eye(spectrum.rank)).max() < 1e-10
-        fs = lowrank.dense()
-        gram = fs.T @ (weights.row_weights()[:, None] * fs)
-        rel = np.linalg.norm(q @ (lam[:, None] * q.T) - gram) / np.linalg.norm(gram)
-        assert rel < 1e-8
+    def test_non_finite_input_factor_fails_at_construction(self, rng):
+        lowrank = random_lowrank(rng, n=20, n_nodes=5)
+        lowrank.node_values[2, 3] = np.nan
+        with pytest.raises(NumericalFailure):
+            PosteriorEngine(lowrank, BayesSetup(alpha=1.0))
 
 
 class TestObjectiveValue:
@@ -114,36 +109,6 @@ class TestObjectiveValue:
         assert value == pytest.approx(direct, rel=1e-9)
 
 
-class TestApplyPosteriorInverse:
-    def test_zero_spectrum(self, rng):
-        lowrank = random_lowrank(rng)
-        engine = PosteriorEngine(lowrank, BayesSetup(alpha=2.0))
-        spectrum = engine.spectrum(DesignWeights(np.zeros(50), 1.0).w)
-        v = rng.normal(size=50)
-        assert_allclose(apply_posterior_inverse(spectrum, BayesSetup(alpha=2.0), v), v / 2.0)
-
-    def test_eigenvector_action(self, rng):
-        lowrank = random_lowrank(rng, n=20, n_nodes=4)
-        weights = feasible_weights(rng, 20)
-        setup = BayesSetup(alpha=0.5)
-        spectrum = PosteriorEngine(lowrank, setup).spectrum(weights.w)
-        v = spectrum.q[:, 0]
-        out = apply_posterior_inverse(spectrum, setup, v)
-        assert_allclose(out, v / (0.5 + spectrum.lam[0]), atol=1e-12)
-
-    def test_matches_dense_solve(self, rng):
-        lowrank = random_lowrank(rng, n=35, n_nodes=8)
-        weights = feasible_weights(rng, 35)
-        setup = BayesSetup(alpha=0.9)
-        spectrum = PosteriorEngine(lowrank, setup).spectrum(weights.w)
-        fs = lowrank.dense()
-        gram = fs.T @ (weights.row_weights()[:, None] * fs) + 0.9 * np.eye(35)
-        v = rng.normal(size=35)
-        assert_allclose(
-            apply_posterior_inverse(spectrum, setup, v), np.linalg.solve(gram, v), atol=1e-8
-        )
-
-
 class TestInterpolatedDerivatives:
     def surrogate_problem(self, rng, n=40, n_nodes=10):
         mesh = build_mesh(RectDomain((-1.0,), (1.0,)), n)
@@ -163,6 +128,28 @@ class TestInterpolatedDerivatives:
         fd_vec = np.array([fd[i] for i in range(n)])
         rel = np.linalg.norm(deriv.gradient - fd_vec) / np.linalg.norm(fd_vec)
         assert rel < 1e-5
+
+    @pytest.mark.parametrize("criterion", ["A", "D"])
+    @pytest.mark.parametrize("active", [None, 4])
+    def test_node_matrices_match_dense_solve(self, rng, criterion, active):
+        # M_k = B^T (F_s^T W F_s + alpha I)^(-k) B against a dense solve;
+        # with 4 active rows the core keeps 4 of its 10 eigenvalues
+        lowrank = self.surrogate_problem(rng, n=40, n_nodes=10)
+        n = lowrank.n_rows
+        w = feasible_weights(rng, n).w
+        if active is not None:
+            w[active:] = 0.0
+        setup = BayesSetup(alpha=0.3, sigma2_noise=1.7, criterion=criterion)
+        engine = PosteriorEngine(lowrank, setup)
+        _, deriv = engine.derivatives(w)
+        if active is not None:
+            assert engine.eigenvalues(w).size == active < engine.r_factor.shape[0]
+        fs = lowrank.dense()
+        a = fs.T @ (w[:, None] * fs) + 0.3 * np.eye(n)
+        b = lowrank.input_factor
+        s = np.linalg.solve(a, b)
+        for got, want in ((deriv.m1, b.T @ s), (deriv.m2, s.T @ s)):
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
     def test_zero_weights_reduce_to_gram(self, rng):
         lowrank = self.surrogate_problem(rng, n=15, n_nodes=5)

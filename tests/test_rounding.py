@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from sensorplace import (
@@ -44,6 +47,20 @@ class TestSumUpRound:
             rounded = sum_up_round(weights(w))
             assert prefix_deviation(w, rounded.w) <= 0.5 + 1e-12
             assert abs(rounded.w.sum() - w.sum()) <= 0.5 + 1e-12
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 200).flatmap(lambda n: st.tuples(
+        hnp.arrays(float, n, elements=st.floats(0.0, 1.0)),
+        st.permutations(range(n)),
+    )))
+    def test_prefix_bound_any_order(self, case):
+        w, order = case
+        plan = RoundingPlan(np.array(order))
+        rounded = sum_up_round(weights(w), plan)
+        assert np.all((rounded.w == 0.0) | (rounded.w == 1.0))
+        # the 0.5 bound, plus round-off of sums as large as sum(w)
+        bound = 0.5 + 1e-12 * max(1.0, float(w.sum()))
+        assert prefix_deviation(w, rounded.w, plan.order) <= bound
 
     def test_angular_order(self):
         angles = np.array([3.0, 1.0, 2.0])

@@ -118,7 +118,7 @@ class TestSolveRelaxed:
         mesh, f, _ = interval_problem(12)
         res = solve_relaxed(f, BayesSetup(alpha=1.0), 3.0, SqpConfig(epsilon=1e-6))
         assert res.dual.size == 2 * 12 + 1
-        assert res.status in ("converged", "max_iter")
+        assert res.status in ("converged", "max_outer")
 
     def test_iteration_log(self, monkeypatch):
         real_solve_qp = sqp_module.solve_qp
@@ -139,8 +139,26 @@ class TestSolveRelaxed:
         mesh, f, _ = interval_problem(25)
         res = solve_relaxed(f, BayesSetup(alpha=0.05), 6.0,
                             SqpConfig(epsilon=1e-14, max_outer=1))
-        assert res.status == "max_iter"
+        assert res.status == "max_outer"
         assert res.iterations == 1
+
+    def test_failed_line_search_reports_status(self, monkeypatch):
+        real_value = sqp_module.dense_objective_value
+        start = []
+
+        def every_trial_worse(*args, **kwargs):
+            # the first call scores the start; every later one is a trial point
+            if not start:
+                start.append(real_value(*args, **kwargs))
+                return start[0]
+            return start[0] + 1.0
+
+        monkeypatch.setattr(sqp_module, "dense_objective_value", every_trial_worse)
+        mesh, f, _ = interval_problem(15)
+        res = solve_relaxed(f, BayesSetup(alpha=1.0), 4.0, SqpConfig(epsilon=1e-8))
+        assert res.status == "line_search_failed"
+        assert res.iterations == 1
+        assert res.objective_trace.size == 1
 
     def test_qp_numerical_failure_names_outer_iteration(self, monkeypatch):
         real_solve_qp = sqp_module.solve_qp
@@ -166,8 +184,6 @@ class TestSolveRelaxed:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SqpConfig(epsilon=0.0)
-        with pytest.raises(ValueError):
-            SqpConfig(backtrack_factor=1.5)
 
 
 class TestThinBudgetSlack:
