@@ -18,13 +18,13 @@ dense = sp.dense_kernel_matrix(kernel, mesh, mesh)
 print("kernel: exp(-(x - y)^2) on [-1, 1], mesh n = 200")
 print(f"{'nodes':>6} {'rank':>5} {'max entry error':>16}")
 for n_nodes in (4, 6, 8, 12, 16):
-    lowrank = sp.build_lowrank(kernel, mesh, mesh, out_nodes_each=n_nodes)
+    lowrank = sp.build_lowrank(kernel, mesh, mesh, budget=n_nodes)  # 1-D: nodes per axis
     err = np.abs(lowrank.dense() - dense).max()
     rank = np.linalg.matrix_rank(lowrank.dense(), tol=1e-12)
     print(f"{n_nodes:>6} {rank:>5} {err:>16.3e}")
 
 print()
-print("Lagrange coefficients are a partition of unity and exact at nodes:")
+print("barycentric Lagrange coefficients are a partition of unity and exact at nodes:")
 grid = sp.chebyshev_nodes(7)
 x = 0.33
 coef = sp.lagrange_coefficients(grid, x)

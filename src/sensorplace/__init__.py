@@ -10,9 +10,8 @@ application; ``cli`` drives end-to-end runs.
 """
 
 from .chebyshev import (
-    ChebyshevGrid1D,
+    Grid1D,
     LowRankKernel,
-    SampleGrid1D,
     build_lowrank,
     chebyshev_nodes,
     coefficient_matrix,
@@ -20,7 +19,6 @@ from .chebyshev import (
     lebesgue_constant,
     node_budget,
     nodes_per_axis,
-    tensor_coefficients,
 )
 from .domains import (
     DiskSensorDomain,

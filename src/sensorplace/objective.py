@@ -182,8 +182,9 @@ def _whiten_rows(coef_or_matrix: np.ndarray, time_precision: np.ndarray, rows_ax
 class PosteriorEngine:
     """Repeated-evaluation workhorse for one surrogate kernel.
 
-    Factors the weight-independent input factor
-    B = coef_in^T node_values^T = Q R once and keeps only R (r1 x N).
+    Keeps only R (r1 x N) of the weight-independent input factor
+    B = coef_in^T node_values^T = Q R, which the surrogate computes once
+    (``LowRankKernel.input_r``) for every engine built on it.
     With G = coef_out W coef_out^T, F_s^T W F_s = Q (R G R^T) Q^T, so its
     nonzero spectrum is that of the small core K = R G R^T and each
     evaluation costs one r1 x r1 eigendecomposition.  With
@@ -203,14 +204,13 @@ class PosteriorEngine:
         self.coef_rows = coef_rows
         self.row_group = None if row_group is None else np.asarray(row_group, dtype=int)
         self.n_ambient = lowrank.n_cols
-        b = lowrank.input_factor  # (n_cols, N_out)
-        self.r_factor = np.linalg.qr(b, mode="r")  # (r1, N_out)
+        self.r_factor = lowrank.input_r  # (r1, N_out)
         # QR has no convergence failure; a NaN in B would otherwise
         # surface only at the first evaluation.
         if not np.all(np.isfinite(self.r_factor)):
             raise NumericalFailure(
                 "QR factor of the input factor is not finite",
-                {"shape": b.shape, "fro_norm": float(np.linalg.norm(b))},
+                {"shape": (lowrank.n_cols, lowrank.node_values.shape[0])},
             )
         if self.row_group is not None:
             self.n_weights = int(self.row_group.max()) + 1

@@ -10,6 +10,7 @@ which keeps every prefix deviation |sum_{k<=i} (w_rel - w_int)| within
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +60,10 @@ def angular_plan(angles) -> RoundingPlan:
 def sum_up_round(weights: DesignWeights, plan: RoundingPlan | None = None) -> DesignWeights:
     """Binary design from relaxed weights by the prefix rule.
 
-    Ties at exactly 0.5 round up.  A binary input is a fixed point.
+    Ties at exactly 0.5 round up.  A binary input is a fixed point.  The
+    rule keeps sum(w_int) <= sum(w_rel) + 0.5, so the binary design gets
+    the integer budget floor(budget + 0.5), which a fractional budget can
+    exceed.
     """
     w = weights.w
     if plan is None:
@@ -74,7 +78,8 @@ def sum_up_round(weights: DesignWeights, plan: RoundingPlan | None = None) -> De
         if cum_rel - cum_int >= 0.5:
             w_int[idx] = 1.0
             cum_int += 1.0
-    return DesignWeights(w_int, weights.budget, row_group=weights.row_group, binary=True)
+    budget = float(math.floor(weights.budget + 0.5))
+    return DesignWeights(w_int, budget, row_group=weights.row_group, binary=True)
 
 
 def prefix_deviation(w_rel: np.ndarray, w_int: np.ndarray, order: np.ndarray | None = None) -> float:

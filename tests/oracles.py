@@ -67,6 +67,28 @@ def enumerate_box_budget_qp(g, hess, box_low, box_high, budget_rhs):
     return best, best_val
 
 
+def lagrange_product(nodes, xs):
+    """Lagrange basis values l_p(x) = prod_{k!=p} (x - x_k)/(x_p - x_k).
+
+    The direct product formula, O(N^2) per point; returns (N, len(xs)).
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    xs = np.asarray(xs, dtype=float)
+    n = nodes.size
+    diff = xs[None, :] - nodes[:, None]
+    coef = np.empty((n, xs.size))
+    for p in range(n):
+        num = np.ones(xs.size)
+        den = 1.0
+        for q in range(n):
+            if q == p:
+                continue
+            num *= diff[q]
+            den *= nodes[p] - nodes[q]
+        coef[p] = num / den
+    return coef
+
+
 def finite_difference_gradient(value_fn, w, indices=None, base_step=1e-6):
     """Central differences of a scalar function of the weights."""
     w = np.asarray(w, dtype=float)

@@ -70,7 +70,7 @@ def test_criterion_1_derivative_correctness():
             criterion=criterion,
         )
         mesh = interval_mesh(n)
-        lowrank = build_lowrank(kern, mesh, mesh, out_nodes_each=int(rng.integers(8, 15)))
+        lowrank = build_lowrank(kern, mesh, mesh, int(rng.integers(8, 15)))
         w, budget = feasible(rng, n)
         weights = DesignWeights(w, budget)
 
@@ -134,7 +134,7 @@ def test_criterion_2_surrogate_convergence():
     kern = gaussian_difference_kernel()
     f = dense_kernel_matrix(kern, mesh, mesh)
     setup = BayesSetup(alpha=1.0)
-    surrogates = {m: build_lowrank(kern, mesh, mesh, out_nodes_each=m) for m in (4, 8, 16)}
+    surrogates = {m: build_lowrank(kern, mesh, mesh, m) for m in (4, 8, 16)}
     engines = {m: PosteriorEngine(lr, setup) for m, lr in surrogates.items()}
     ratios_ok = True
     worst = (np.inf, np.inf)
@@ -159,7 +159,7 @@ def test_criterion_3_spectrum_route():
     rng = np.random.default_rng(RNG_SEED + 2)
     n = 500
     mesh = interval_mesh(n)
-    lowrank = build_lowrank(gaussian_difference_kernel(), mesh, mesh, out_nodes_each=10)
+    lowrank = build_lowrank(gaussian_difference_kernel(), mesh, mesh, 10)
     fs = lowrank.dense()
     w, budget = feasible(rng, n)
     weights = DesignWeights(w, budget)
@@ -172,7 +172,7 @@ def test_criterion_3_spectrum_route():
     # cross-check against a plain inverse at a smaller size
     n2 = 200
     mesh2 = interval_mesh(n2)
-    lr2 = build_lowrank(gaussian_difference_kernel(), mesh2, mesh2, out_nodes_each=9)
+    lr2 = build_lowrank(gaussian_difference_kernel(), mesh2, mesh2, 9)
     w2, b2 = feasible(rng, n2)
     setup2 = BayesSetup(alpha=0.3, criterion="A")
     value2 = PosteriorEngine(lr2, setup2).value(DesignWeights(w2, b2).w)
@@ -286,7 +286,7 @@ def test_criterion_7_structural_properties():
     rng = np.random.default_rng(RNG_SEED + 6)
     n = 80
     mesh = interval_mesh(n)
-    lowrank = build_lowrank(gaussian_difference_kernel(), mesh, mesh, out_nodes_each=9)
+    lowrank = build_lowrank(gaussian_difference_kernel(), mesh, mesh, 9)
 
     psd_ok = True
     for criterion in ("A", "D"):

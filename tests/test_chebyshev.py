@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from sensorplace import (
@@ -14,9 +16,20 @@ from sensorplace import (
     lebesgue_constant,
     node_budget,
     nodes_per_axis,
-    tensor_coefficients,
 )
-from sensorplace.chebyshev import SampleGrid1D, coefficient_matrix
+from sensorplace.chebyshev import Grid1D, coefficient_matrix
+from oracles import lagrange_product
+
+intervals = st.tuples(st.floats(-10.0, 10.0), st.floats(0.1, 10.0))
+fractions = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30)
+
+
+def assert_matches_product(grid, xs, rtol):
+    got = lagrange_coefficients(grid, xs)
+    want = lagrange_product(grid.nodes, xs)
+    assert np.abs(got - want).max() <= rtol * max(1.0, np.abs(want).max())
+    # exact unit vectors at the nodes
+    assert np.array_equal(lagrange_coefficients(grid, grid.nodes), np.eye(grid.nodes.size))
 
 
 class TestNodes:
@@ -63,39 +76,72 @@ class TestLagrangeCoefficients:
         assert_allclose(coef.sum(axis=0), np.ones(64), atol=1e-12)
 
     def test_sample_grid_exact_at_samples(self):
-        grid = SampleGrid1D(np.array([0.2, 0.4, 0.9]))
+        grid = Grid1D(np.array([0.2, 0.4, 0.9]))
         assert_allclose(lagrange_coefficients(grid, 0.4), [0.0, 1.0, 0.0], atol=0)
+
+
+class TestBarycentricAgainstProduct:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.integers(2, 60), intervals, fractions)
+    def test_chebyshev_grids(self, n, interval, fracs):
+        lo, width = interval
+        grid = chebyshev_nodes(n, lo, lo + width)
+        xs = np.concatenate([lo + width * np.asarray(fracs), grid.nodes])
+        assert_matches_product(grid, xs, 1e-13)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n),
+                st.permutations(range(n)),
+            )
+        ),
+        intervals,
+        fractions,
+    )
+    def test_sample_grids(self, layout, interval, fracs):
+        # node i sits in cell i of N equal cells, at most 3/4 of a cell in,
+        # so neighbouring nodes are at least (hi - lo)/(4N) apart
+        offsets, order = layout
+        lo, width = interval
+        n = len(offsets)
+        cell = width / n
+        nodes = lo + cell * (np.arange(n) + 0.75 * np.asarray(offsets))
+        grid = Grid1D(nodes[list(order)])
+        xs = np.concatenate([lo + width * np.asarray(fracs), grid.nodes])
+        assert_matches_product(grid, xs, 1e-11)
 
 
 class TestTensorCoefficients:
     def test_unit_vector_at_tensor_node(self):
         grids = (chebyshev_nodes(3), chebyshev_nodes(4))
         point = (grids[0].nodes[1], grids[1].nodes[2])
-        coef = tensor_coefficients(grids, point)
+        coef = coefficient_matrix(grids, [point])[:, 0]
         expected = np.zeros(12)
         expected[1 * 4 + 2] = 1.0
         assert_allclose(coef, expected, atol=0)
 
     def test_center_of_two_by_two(self):
         grids = (chebyshev_nodes(2), chebyshev_nodes(2))
-        assert_allclose(tensor_coefficients(grids, (0.0, 0.0)), np.full(4, 0.25))
+        assert_allclose(coefficient_matrix(grids, [(0.0, 0.0)])[:, 0], np.full(4, 0.25))
 
     def test_outer_product_composition(self, rng):
         grids = (chebyshev_nodes(3), chebyshev_nodes(3))
         point = (0.5, -0.5)
         c0 = lagrange_coefficients(grids[0], 0.5)
         c1 = lagrange_coefficients(grids[1], -0.5)
-        assert_allclose(tensor_coefficients(grids, point), np.outer(c0, c1).ravel())
+        assert_allclose(coefficient_matrix(grids, [point])[:, 0], np.outer(c0, c1).ravel())
 
     def test_sum_to_one(self, rng):
         grids = (chebyshev_nodes(4), chebyshev_nodes(5))
         pts = rng.uniform(-1, 1, (10, 2))
-        mat = coefficient_matrix(grids, pts, np.array([[-1.0, 1.0], [-1.0, 1.0]]))
+        mat = coefficient_matrix(grids, pts)
         assert_allclose(mat.sum(axis=0), np.ones(10), atol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            tensor_coefficients((chebyshev_nodes(3),), (0.1, 0.2))
+            coefficient_matrix((chebyshev_nodes(3),), [(0.1, 0.2)])
 
 
 class TestBuildLowRank:
@@ -103,13 +149,13 @@ class TestBuildLowRank:
         mesh = build_mesh(RectDomain((-1.0,), (1.0,)), 20)
         kern = Kernel(lambda x, y: (x[..., 0] ** 3 - x[..., 0]) * (2.0 * y[..., 0] ** 2 + 1.0))
         dense = dense_kernel_matrix(kern, mesh, mesh)
-        lowrank = build_lowrank(kern, mesh, mesh, out_nodes_each=4)
+        lowrank = build_lowrank(kern, mesh, mesh, 4)
         assert_allclose(lowrank.dense(), dense, rtol=1e-10, atol=1e-14)
 
     def test_constant_kernel_partition_of_unity(self):
         mesh = build_mesh(RectDomain((-1.0,), (1.0,)), 9)
         kern = Kernel(lambda x, y: np.ones(np.broadcast(x, y).shape[:-1]))
-        lowrank = build_lowrank(kern, mesh, mesh, out_nodes_each=5)
+        lowrank = build_lowrank(kern, mesh, mesh, 5)
         assert_allclose(lowrank.dense(), np.full((9, 9), mesh.cell_measure), atol=1e-12)
 
     def test_geometric_decay_for_analytic_kernel(self):
@@ -118,7 +164,7 @@ class TestBuildLowRank:
         dense = dense_kernel_matrix(kern, mesh, mesh)
         errs = []
         for n_each in (4, 8):
-            lowrank = build_lowrank(kern, mesh, mesh, out_nodes_each=n_each)
+            lowrank = build_lowrank(kern, mesh, mesh, n_each)
             errs.append(np.abs(lowrank.dense() - dense).max())
         assert errs[1] < errs[0] / 2.0
 
@@ -127,19 +173,14 @@ class TestBuildLowRank:
         in_mesh = build_mesh(RectDomain((-3.0,), (-1.0,)), 12)
         kern = Kernel(lambda x, y: np.exp(-0.3 * (x[..., 0] - y[..., 0]) ** 2))
         dense = dense_kernel_matrix(kern, out_mesh, in_mesh)
-        lowrank = build_lowrank(kern, out_mesh, in_mesh, out_nodes_each=14)
+        lowrank = build_lowrank(kern, out_mesh, in_mesh, 14)
         assert np.abs(lowrank.dense() - dense).max() < 1e-9
 
-    def test_rank_bound(self):
+    def test_rank_within_node_count(self):
         mesh = build_mesh(RectDomain((-1.0,), (1.0,)), 30)
-        lowrank = build_lowrank(gaussian_difference_kernel(), mesh, mesh, out_nodes_each=6)
+        lowrank = build_lowrank(gaussian_difference_kernel(), mesh, mesh, 6)
         fs = lowrank.dense()
-        assert np.linalg.matrix_rank(fs, tol=1e-10) <= lowrank.rank_bound == 6
-
-    def test_rejects_single_node_axes(self):
-        mesh = build_mesh(RectDomain((-1.0,), (1.0,)), 5)
-        with pytest.raises(ValueError):
-            build_lowrank(gaussian_difference_kernel(), mesh, mesh, out_nodes_each=1)
+        assert np.linalg.matrix_rank(fs, tol=1e-10) <= min(lowrank.node_values.shape) == 6
 
 
 class TestNodeBudget:

@@ -85,6 +85,20 @@ class TestPosteriorSpectrum:
         with pytest.raises(NumericalFailure):
             PosteriorEngine(lowrank, BayesSetup(alpha=1.0))
 
+    def test_engines_share_one_qr(self, rng, monkeypatch):
+        n = 40
+        lowrank = random_lowrank(rng, n=n, n_nodes=6)
+        first = PosteriorEngine(lowrank, BayesSetup(alpha=1.0))
+        calls = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(a) or qr(*a, **k))
+        second = PosteriorEngine(lowrank, BayesSetup(alpha=0.5, criterion="D"))
+        assert calls == []
+        assert second.r_factor is first.r_factor
+        # the n x N input factor B is not kept on the surrogate
+        kept = [v for v in vars(lowrank).values() if isinstance(v, np.ndarray)]
+        assert kept and all(v.shape[0] != n for v in kept)
+
 
 class TestObjectiveValue:
     def test_identity_posterior(self):
@@ -113,7 +127,7 @@ class TestInterpolatedDerivatives:
     def surrogate_problem(self, rng, n=40, n_nodes=10):
         mesh = build_mesh(RectDomain((-1.0,), (1.0,)), n)
         kern = gaussian_difference_kernel()
-        lowrank = build_lowrank(kern, mesh, mesh, out_nodes_each=n_nodes)
+        lowrank = build_lowrank(kern, mesh, mesh, n_nodes)
         return lowrank
 
     @pytest.mark.parametrize("criterion", ["A", "D"])
@@ -146,7 +160,7 @@ class TestInterpolatedDerivatives:
             assert engine.eigenvalues(w).size == active < engine.r_factor.shape[0]
         fs = lowrank.dense()
         a = fs.T @ (w[:, None] * fs) + 0.3 * np.eye(n)
-        b = lowrank.input_factor
+        b = lowrank.coef_in.T @ lowrank.node_values.T
         s = np.linalg.solve(a, b)
         for got, want in ((deriv.m1, b.T @ s), (deriv.m2, s.T @ s)):
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
@@ -156,7 +170,7 @@ class TestInterpolatedDerivatives:
         weights = DesignWeights(np.zeros(15), 5.0)
         setup = BayesSetup(alpha=1.0, sigma2_noise=1.0, criterion="A")
         _, deriv = PosteriorEngine(lowrank, setup).derivatives(weights.w)
-        b = lowrank.input_factor
+        b = lowrank.coef_in.T @ lowrank.node_values.T
         assert_allclose(deriv.m1, b.T @ b, rtol=1e-12, atol=1e-14)
         assert_allclose(deriv.m2, b.T @ b, rtol=1e-12, atol=1e-14)
         # gradient reduces to minus the interpolated squared row norms
@@ -316,7 +330,7 @@ class TestStructuralProperties:
 
     def test_spectrum_and_dense_routes_agree(self, rng):
         mesh = build_mesh(RectDomain((-1.0,), (1.0,)), 60)
-        lowrank = build_lowrank(gaussian_difference_kernel(), mesh, mesh, out_nodes_each=9)
+        lowrank = build_lowrank(gaussian_difference_kernel(), mesh, mesh, 9)
         weights = feasible_weights(rng, 60)
         for criterion in ("A", "D"):
             setup = BayesSetup(alpha=0.05, sigma2_noise=2.0, criterion=criterion)

@@ -56,11 +56,17 @@ class TestSumUpRound:
     def test_prefix_bound_any_order(self, case):
         w, order = case
         plan = RoundingPlan(np.array(order))
-        rounded = sum_up_round(weights(w), plan)
+        # the tight budget sum(w) is fractional in general
+        rounded = sum_up_round(weights(w, budget=float(w.sum())), plan)
         assert np.all((rounded.w == 0.0) | (rounded.w == 1.0))
         # the 0.5 bound, plus round-off of sums as large as sum(w)
         bound = 0.5 + 1e-12 * max(1.0, float(w.sum()))
         assert prefix_deviation(w, rounded.w, plan.order) <= bound
+
+    def test_fractional_budget(self):
+        rounded = sum_up_round(DesignWeights(np.array([0.7]), 0.7))
+        assert_allclose(rounded.w, [1.0])
+        assert rounded.budget == 1.0
 
     def test_angular_order(self):
         angles = np.array([3.0, 1.0, 2.0])
@@ -85,7 +91,7 @@ class TestSumUpRound:
 class TestIntegralityGap:
     def setup_problem(self):
         mesh = build_mesh(RectDomain((-1.0,), (1.0,)), 20)
-        lowrank = build_lowrank(gaussian_difference_kernel(), mesh, mesh, out_nodes_each=6)
+        lowrank = build_lowrank(gaussian_difference_kernel(), mesh, mesh, 6)
         setup = BayesSetup(alpha=1.0)
         return lowrank, setup
 

@@ -107,7 +107,7 @@ class TestSolveRelaxed:
 
     def test_surrogate_mode_with_groups(self):
         mesh = build_mesh(RectDomain((-1.0,), (1.0,)), 20)
-        lowrank = build_lowrank(gaussian_difference_kernel(), mesh, mesh, out_nodes_each=6)
+        lowrank = build_lowrank(gaussian_difference_kernel(), mesh, mesh, 6)
         row_group = np.repeat(np.arange(10), 2)
         setup = BayesSetup(alpha=1.0)
         res = solve_relaxed(lowrank, setup, 3.0, SqpConfig(epsilon=1e-8), row_group=row_group)
