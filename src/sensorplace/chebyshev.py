@@ -177,20 +177,23 @@ def build_lowrank(
     nodes per axis on its interpolation box.  For a space-time output mesh
     time counts as one axis of the output domain and is interpolated like
     the spatial ones; a single-time mesh keeps that time as its one node.
-    A disk output mesh is interpolated on its bounding square.
+    A disk output mesh is interpolated on its bounding square.  One mesh
+    without times on both sides shares one coefficient matrix.
     """
     has_time = out_mesh.times is not None
     single_time = has_time and out_mesh.times.size == 1
     d_out = out_mesh.dim - (1 if single_time else 0)
     out_each = nodes_per_axis(budget, d_out)
-    in_each = nodes_per_axis(budget, in_mesh.dim)
     grids_out = [chebyshev_nodes(out_each, lo, hi) for lo, hi in out_mesh.bounds[:d_out]]
     if single_time:
         grids_out.append(Grid1D(out_mesh.times))
-    grids_in = [chebyshev_nodes(in_each, lo, hi) for lo, hi in in_mesh.bounds]
-
     coef_out = coefficient_matrix(grids_out, out_mesh.points)
-    coef_in = coefficient_matrix(grids_in, in_mesh.points)
+    if in_mesh is out_mesh and not has_time:
+        grids_in, coef_in = grids_out, coef_out
+    else:
+        in_each = nodes_per_axis(budget, in_mesh.dim)
+        grids_in = [chebyshev_nodes(in_each, lo, hi) for lo, hi in in_mesh.bounds]
+        coef_in = coefficient_matrix(grids_in, in_mesh.points)
 
     xt = _node_tuples(grids_out)
     yt = _node_tuples(grids_in)

@@ -17,8 +17,8 @@ The ``dense_*`` functions factor an explicit F and exist only as
 validation oracles on small problems.
 
 Space-time designs attach one weight to a group of rows (all measurement
-times along one beam); gradients and Hessians then sum the per-row
-quantities over each group.
+times along one beam).  Groups are contiguous runs of rows, numbered
+0..n_groups-1 in row order, so every group sum is a sum over a slice.
 """
 
 from __future__ import annotations
@@ -59,7 +59,8 @@ class DesignWeights:
     """Relaxed or binary design weights with a total budget.
 
     ``row_group`` maps each row of F to its weight index for space-time
-    designs (None means one weight per row).  Weights are clamped into
+    designs (None means one weight per row); each weight owns one
+    contiguous run of rows, in order.  Weights are clamped into
     [0, 1] within round-off; true violations raise.
     """
 
@@ -151,13 +152,15 @@ class InterpolatedDerivatives:
     coef_weights: np.ndarray
 
 
-def _check_groups(row_group: np.ndarray, n_groups: int) -> None:
+def _check_groups(row_group: np.ndarray, n_groups: int) -> np.ndarray:
+    """First row of each group; raises unless the groups are contiguous
+    runs of rows numbered 0..n_groups-1 in row order."""
     if row_group.ndim != 1 or row_group.size == 0:
         raise ValueError("row_group must be a nonempty vector")
-    if row_group.min() < 0 or row_group.max() >= n_groups:
-        raise ValueError("group ids must lie in [0, n_groups)")
-    if np.unique(row_group).size != n_groups:
-        raise ValueError("every group must own at least one row")
+    steps = np.diff(row_group, prepend=-1)  # 1 at the first row of each group
+    if row_group[0] != 0 or row_group[-1] != n_groups - 1 or not np.isin(steps, (0, 1)).all():
+        raise ValueError("row_group must number contiguous runs of rows 0..n_groups-1 in order")
+    return np.flatnonzero(steps)
 
 
 def _whiten_rows(coef_or_matrix: np.ndarray, time_precision: np.ndarray, rows_axis: int):
@@ -202,7 +205,6 @@ class PosteriorEngine:
         if setup.time_precision is not None:
             coef_rows = _whiten_rows(coef_rows, setup.time_precision, rows_axis=1)
         self.coef_rows = coef_rows
-        self.row_group = None if row_group is None else np.asarray(row_group, dtype=int)
         self.n_ambient = lowrank.n_cols
         self.r_factor = lowrank.input_r  # (r1, N_out)
         # QR has no convergence failure; a NaN in B would otherwise
@@ -212,17 +214,19 @@ class PosteriorEngine:
                 "QR factor of the input factor is not finite",
                 {"shape": (lowrank.n_cols, lowrank.node_values.shape[0])},
             )
-        if self.row_group is not None:
-            self.n_weights = int(self.row_group.max()) + 1
-            _check_groups(self.row_group, self.n_weights)
+        if row_group is not None:
+            row_group = np.asarray(row_group, dtype=int)
+            if row_group.size != coef_rows.shape[1]:
+                raise ValueError("row_group does not match the row count")
+            self.n_weights = int(row_group.max()) + 1
+            self.starts = _check_groups(row_group, self.n_weights)
             n_out = coef_rows.shape[0]
-            grams = np.empty((self.n_weights, n_out, n_out))
-            for k in range(self.n_weights):
-                ck = coef_rows[:, self.row_group == k]
-                grams[k] = ck @ ck.T
-            self.group_grams = grams
+            self.group_grams = np.empty((self.n_weights, n_out, n_out))
+            for k, c in enumerate(np.split(coef_rows, self.starts[1:], axis=1)):
+                self.group_grams[k] = c @ c.T
         else:
             self.n_weights = coef_rows.shape[1]
+            self.starts = None
             self.group_grams = None
 
     def weighted_gram(self, w: np.ndarray) -> np.ndarray:
@@ -281,17 +285,15 @@ class PosteriorEngine:
             sc = s1 @ c
             per_row = -np.einsum("ij,ij->j", sc, sc)
             htilde = m1 * m1
-        gradient = group_reduce(per_row, self.row_group, self.n_weights)
+        gradient = per_row if self.starts is None else np.add.reduceat(per_row, self.starts)
         return value, InterpolatedDerivatives(m1, m2, htilde, gradient, self.coef_weights)
 
     @cached_property
     def coef_weights(self) -> np.ndarray:
         """Output coefficients summed over each weight group (N, n_weights)."""
-        if self.row_group is None:
+        if self.starts is None:
             return self.coef_rows
-        summed = np.zeros((self.n_weights, self.coef_rows.shape[0]))
-        np.add.at(summed, self.row_group, self.coef_rows.T)
-        return summed.T
+        return np.add.reduceat(self.coef_rows, self.starts, axis=1)
 
 
 def _truncate(lam: np.ndarray) -> np.ndarray:
@@ -374,10 +376,10 @@ def dense_objective_and_derivatives(
 
 
 def group_reduce(values: np.ndarray, row_group: np.ndarray | None, n_groups: int | None = None) -> np.ndarray:
-    """Sum per-row values into per-group entries.
+    """Sum per-row values (along the first axis) into per-group entries.
 
-    With ``row_group`` None this is the identity.  Group ids must form a
-    partition of the rows (every id in [0, n_groups) used at least once).
+    With ``row_group`` None this is the identity.  Groups must be
+    contiguous runs of rows numbered 0..n_groups-1 in row order.
     """
     values = np.asarray(values, dtype=float)
     if row_group is None:
@@ -385,21 +387,13 @@ def group_reduce(values: np.ndarray, row_group: np.ndarray | None, n_groups: int
     row_group = np.asarray(row_group, dtype=int)
     if n_groups is None:
         n_groups = int(row_group.max()) + 1
-    _check_groups(row_group, n_groups)
-    if row_group.size != values.size:
+    starts = _check_groups(row_group, n_groups)
+    if row_group.size != values.shape[0]:
         raise ValueError("row_group does not match the value count")
-    return np.bincount(row_group, weights=values, minlength=n_groups)
+    return np.add.reduceat(values, starts)
 
 
 def group_reduce_matrix(matrix: np.ndarray, row_group: np.ndarray | None, n_groups: int | None = None) -> np.ndarray:
     """Sum a per-row-pair matrix into per-group blocks (both axes)."""
-    matrix = np.asarray(matrix, dtype=float)
-    if row_group is None:
-        return matrix.copy()
-    row_group = np.asarray(row_group, dtype=int)
-    if n_groups is None:
-        n_groups = int(row_group.max()) + 1
-    _check_groups(row_group, n_groups)
-    indicator = np.zeros((n_groups, row_group.size))
-    indicator[row_group, np.arange(row_group.size)] = 1.0
-    return indicator @ matrix @ indicator.T
+    rows = group_reduce(matrix, row_group, n_groups)
+    return group_reduce(rows.T, row_group, n_groups).T

@@ -127,6 +127,8 @@ def solve_relaxed(
     (exact oracle mode).  Line-search objective values use the same route
     as the derivatives, so the Armijo test sees the function the model
     describes.  QP failures propagate with the outer-iteration context.
+    ``row_group`` (None: one weight per row) gives each row's weight;
+    each weight owns one contiguous run of rows, numbered in row order.
 
     ``status`` is ``converged`` when a stopping test holds, ``max_outer``
     when ``config.max_outer`` outer iterations ran out first, and

@@ -6,7 +6,9 @@ from numpy.testing import assert_allclose
 
 from sensorplace import (
     Kernel,
+    LidarConfig,
     RectDomain,
+    build_lidar_problem,
     build_lowrank,
     build_mesh,
     chebyshev_nodes,
@@ -17,6 +19,7 @@ from sensorplace import (
     node_budget,
     nodes_per_axis,
 )
+from sensorplace import chebyshev
 from sensorplace.chebyshev import Grid1D, coefficient_matrix
 from oracles import lagrange_product
 
@@ -181,6 +184,24 @@ class TestBuildLowRank:
         lowrank = build_lowrank(gaussian_difference_kernel(), mesh, mesh, 6)
         fs = lowrank.dense()
         assert np.linalg.matrix_rank(fs, tol=1e-10) <= min(lowrank.node_values.shape) == 6
+
+    def test_same_mesh_builds_coefficients_once(self, monkeypatch):
+        calls = []
+
+        def counting(grids, points):
+            calls.append(len(points))
+            return coefficient_matrix(grids, points)
+
+        monkeypatch.setattr(chebyshev, "coefficient_matrix", counting)
+        mesh = build_mesh(RectDomain((-1.0,), (1.0,)), 30)
+        lowrank = build_lowrank(gaussian_difference_kernel(), mesh, mesh, 6)
+        assert lowrank.coef_in is lowrank.coef_out
+        assert calls == [30]
+        # a space-time output mesh and its input grid still get one each
+        calls.clear()
+        prob = build_lidar_problem(LidarConfig(n_d=4, n_r=2, n_t=2, n_x=3), 2.0)
+        assert len(calls) == 2
+        assert prob.lowrank.coef_in is not prob.lowrank.coef_out
 
 
 class TestNodeBudget:

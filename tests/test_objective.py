@@ -50,8 +50,8 @@ class TestDesignWeights:
             DesignWeights(np.array([0.5, 0.5]), 2.0, binary=True)
 
     def test_group_views(self):
-        w = DesignWeights(np.array([0.2, 0.7]), 2.0, row_group=np.array([0, 1, 0, 1]))
-        assert_allclose(w.row_weights(), [0.2, 0.7, 0.2, 0.7])
+        w = DesignWeights(np.array([0.2, 0.7]), 2.0, row_group=np.array([0, 0, 1, 1]))
+        assert_allclose(w.row_weights(), [0.2, 0.2, 0.7, 0.7])
 
 
 class TestPosteriorSpectrum:
@@ -305,6 +305,51 @@ class TestGroupReduce:
     def test_non_partition_rejected(self):
         with pytest.raises(ValueError):
             group_reduce(np.ones(3), np.array([0, 2, 2]))  # group 1 empty
+
+    # interleaved, numbered out of row order, skipping group 1, negative
+    @pytest.mark.parametrize(
+        "row_group", [[0, 1, 0, 1], [1, 1, 0, 0], [0, 0, 2, 2], [-1, -1, 0, 0]]
+    )
+    def test_noncontiguous_maps_rejected(self, rng, row_group):
+        row_group = np.array(row_group)
+        n_w = row_group.max() + 1
+        with pytest.raises(ValueError):
+            DesignWeights(np.full(n_w, 0.5), float(n_w), row_group=row_group)
+        with pytest.raises(ValueError):
+            PosteriorEngine(random_lowrank(rng, n=4, n_nodes=3), BayesSetup(alpha=1.0), row_group)
+        with pytest.raises(ValueError):
+            group_reduce(np.ones(4), row_group)
+
+
+class TestGroupedEngine:
+    # contiguous groups of unequal sizes, including singletons
+    ROW_GROUP = np.repeat(np.arange(6), [3, 1, 2, 5, 1, 4])
+
+    @pytest.mark.parametrize("criterion", ["A", "D"])
+    def test_gradient_matches_dense_oracle(self, rng, criterion):
+        lowrank = random_lowrank(rng, n=self.ROW_GROUP.size, n_nodes=7)
+        setup = BayesSetup(alpha=0.4, sigma2_noise=1.3, criterion=criterion)
+        w = rng.uniform(0.1, 0.9, 6)
+        engine = PosteriorEngine(lowrank, setup, self.ROW_GROUP)
+        _, deriv = engine.derivatives(w)
+        weights = DesignWeights(w, 6.0, row_group=self.ROW_GROUP)
+        _, grad, _ = dense_objective_and_derivatives(lowrank.dense(), weights, setup)
+        assert_allclose(deriv.gradient, grad, rtol=1e-10)
+
+    def test_coef_weights_and_grams_are_group_sums(self, rng):
+        lowrank = random_lowrank(rng, n=self.ROW_GROUP.size, n_nodes=7)
+        engine = PosteriorEngine(lowrank, BayesSetup(alpha=1.0), self.ROW_GROUP)
+        c = lowrank.coef_out
+        cols = [c[:, self.ROW_GROUP == k] for k in range(6)]
+        sums = np.column_stack([ck.sum(axis=1) for ck in cols])
+        grams = np.stack([ck @ ck.T for ck in cols])
+        assert_allclose(engine.coef_weights, sums, rtol=1e-13, atol=1e-13)
+        assert_allclose(engine.group_grams, grams, rtol=1e-13, atol=1e-13)
+
+    def test_row_count_mismatch_rejected(self, rng):
+        lowrank = random_lowrank(rng, n=self.ROW_GROUP.size, n_nodes=7)
+        with pytest.raises(ValueError):
+            PosteriorEngine(lowrank, BayesSetup(alpha=1.0), self.ROW_GROUP[:-1])
 
 
 class TestStructuralProperties:
