@@ -45,4 +45,5 @@ print(f"\nposterior spectrum: rank {lam.size}, largest eigenvalue {lam[0]:.4f}")
 
 _, deriv = engine.derivatives(weights.w)
 print(f"gradient entries (first 4): {np.round(deriv.gradient[:4], 8)}")
-print(f"node-space Hessian core shape: {deriv.htilde.shape} (full Hessian never materialized)")
+print(f"interpolated node-space Hessian core shape: {deriv.hessian.core.shape} "
+      "(ungrouped design: the full Hessian is never materialized)")

@@ -152,11 +152,13 @@ class LowRankKernel:
 
     @cached_property
     def input_r(self) -> np.ndarray:
-        """R of the thin QR of the input factor B = coef_in^T node_values^T.
+        """A factor R with R^T R = B^T B for the input factor
+        B = coef_in^T node_values^T = Q1 (R1 node_values^T).
 
-        B is (n_cols, N_out) and is not kept; R is (min(n_cols, N_out), N_out).
+        R = R1 node_values^T from the thin QR coef_in^T = Q1 R1, so B is
+        never formed; R is (min(n_cols, N_in), N_out).
         """
-        return np.linalg.qr(self.coef_in.T @ self.node_values.T, mode="r")
+        return np.linalg.qr(self.coef_in.T, mode="r") @ self.node_values.T
 
     def dense(self) -> np.ndarray:
         """Materialize F_s (for oracles and small problems only)."""

@@ -9,7 +9,9 @@ lidar-sanity  truncated-series reconstruction error per mode cutoff
 
 Configuration is a flat key = value text file (``#`` comments allowed);
 ``--command`` and other flags override file entries.  Exit codes:
-0 success, 2 invalid configuration, 3 solver failure.  Per-layer timing
+0 success, 2 invalid configuration, 3 solver failure.  summary.json's
+``status`` is ``ok``, ``not_converged`` (the SQP stopped without
+converging; exit code 0) or ``error``.  Per-layer timing
 lives in the benchmark, ``python3 perfbench/run.py``.
 """
 
@@ -388,11 +390,14 @@ def main(argv=None) -> int:
     except (NonconvergenceError, NumericalFailure) as err:
         metrics, error = {}, str(err)
         print(f"solver failure: {err}", file=sys.stderr)
+    # A finished command whose SQP stopped short still exits 0.
+    converged = metrics.get("sqp_status", "converged") == "converged"
+    status = "error" if error is not None else "ok" if converged else "not_converged"
     payload = _summary_base(spec)
     payload.update({
         "metrics": metrics,
         "timings": {"wall_seconds": time.perf_counter() - t0},
-        "status": "ok" if error is None else "error",
+        "status": status,
     })
     if error is not None:
         payload["error"] = error

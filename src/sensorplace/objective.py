@@ -8,13 +8,15 @@ posterior covariance of the Bayesian linear inverse problem is
 with W = diag of the per-row weights.  The A-criterion is its trace, the
 D-criterion its log-determinant.  Each quantity has one route:
 ``PosteriorEngine`` evaluates the eigenvalues, value, gradient and
-node-space Hessian through the low-rank surrogate F_s.  With the input
-factor B = Q R (R small, Q never formed) and F_s^T W F_s = B G B^T, all
-of them come from one eigendecomposition of the small core R G R^T, at
-O(n log^2 n) per evaluation; gradients and Hessians are interpolated
-from the node-space matrices M1, M2 built from that eigendecomposition.
-The ``dense_*`` functions factor an explicit F and exist only as
-validation oracles on small problems.
+Hessian through the low-rank surrogate F_s.  With R^T R = B^T B for the
+input factor B and F_s^T W F_s = B G B^T, all of them come from one
+eigendecomposition of the small core R G R^T.  Each design shape has one
+derivative route: ungrouped designs interpolate the gradient and
+Hessian from the node-space matrices M1, M2 (the paper's O(n log^2 n)
+route); grouped designs get the exact gradient and dense Hessian of the
+surrogate from the per-group Gram matrices.  The ``dense_*`` functions
+factor an explicit F and exist only as validation oracles on small
+problems.
 
 Space-time designs attach one weight to a group of rows (all measurement
 times along one beam).  Groups are contiguous runs of rows, numbered
@@ -24,12 +26,12 @@ times along one beam).  Groups are contiguous runs of rows, numbered
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .chebyshev import LowRankKernel
 from .exceptions import NumericalFailure
+from .qp_solver import LowRankHessian
 
 __all__ = [
     "DesignWeights",
@@ -135,21 +137,22 @@ class BayesSetup:
 
 @dataclass(frozen=True)
 class InterpolatedDerivatives:
-    """Node-space derivative data for the surrogate objective.
+    """Derivative data of the surrogate objective.
 
     ``m1[i, j] = ftil_i^T (F_s^T W F_s + alpha I)^(-1) ftil_j`` and ``m2``
     the same with the squared inverse, where ftil_i are the columns of
-    coef_in^T node_values^T.  ``htilde`` is the node-space Hessian core
-    (2 sigma2 * m1 o m2 for the A-criterion, m1 o m1 for D) so the weight
-    Hessian is coef_weights^T htilde coef_weights; ``gradient`` is already
-    summed over weight groups.
+    coef_in^T node_values^T.  ``hessian`` is the weight Hessian in the
+    form ``QpProblem.hess`` takes: for ungrouped designs the interpolated
+    ``LowRankHessian(coef_rows, htilde)`` with node-space core htilde
+    (2 sigma2 * m1 o m2 for the A-criterion, m1 o m1 for D); for grouped
+    designs the exact dense n_weights x n_weights matrix.  ``gradient``
+    has one entry per weight.
     """
 
     m1: np.ndarray
     m2: np.ndarray
-    htilde: np.ndarray
+    hessian: np.ndarray | LowRankHessian
     gradient: np.ndarray
-    coef_weights: np.ndarray
 
 
 def _check_groups(row_group: np.ndarray, n_groups: int) -> np.ndarray:
@@ -185,9 +188,9 @@ def _whiten_rows(coef_or_matrix: np.ndarray, time_precision: np.ndarray, rows_ax
 class PosteriorEngine:
     """Repeated-evaluation workhorse for one surrogate kernel.
 
-    Keeps only R (r1 x N) of the weight-independent input factor
-    B = coef_in^T node_values^T = Q R, which the surrogate computes once
-    (``LowRankKernel.input_r``) for every engine built on it.
+    Keeps only a factor R (r1 x N, r1 <= N_in) of the weight-independent
+    input factor B = coef_in^T node_values^T = Q R, which the surrogate
+    computes once (``LowRankKernel.input_r``) for every engine built on it.
     With G = coef_out W coef_out^T, F_s^T W F_s = Q (R G R^T) Q^T, so its
     nonzero spectrum is that of the small core K = R G R^T and each
     evaluation costs one r1 x r1 eigendecomposition.  With
@@ -196,7 +199,9 @@ class PosteriorEngine:
         M_k = B^T (F_s^T W F_s + alpha I)^(-k) B = T^T diag((alpha + lam)^(-k)) T,
 
     where a truncated eigenvalue counts as 0.  With row groups, per-group
-    Gram matrices are precomputed and G is their weighted sum.
+    Gram matrices G_k are precomputed, G is their weighted sum, and the
+    gradient and Hessian are exact, from T G_k T^T; without groups they
+    are interpolated in node space from M1 and M2.
     """
 
     def __init__(self, lowrank: LowRankKernel, setup: BayesSetup, row_group=None):
@@ -219,14 +224,13 @@ class PosteriorEngine:
             if row_group.size != coef_rows.shape[1]:
                 raise ValueError("row_group does not match the row count")
             self.n_weights = int(row_group.max()) + 1
-            self.starts = _check_groups(row_group, self.n_weights)
+            starts = _check_groups(row_group, self.n_weights)
             n_out = coef_rows.shape[0]
             self.group_grams = np.empty((self.n_weights, n_out, n_out))
-            for k, c in enumerate(np.split(coef_rows, self.starts[1:], axis=1)):
+            for k, c in enumerate(np.split(coef_rows, starts[1:], axis=1)):
                 self.group_grams[k] = c @ c.T
         else:
             self.n_weights = coef_rows.shape[1]
-            self.starts = None
             self.group_grams = None
 
     def weighted_gram(self, w: np.ndarray) -> np.ndarray:
@@ -258,12 +262,16 @@ class PosteriorEngine:
         return _value_from_eigs(self.eigenvalues(w), self.setup, self.n_ambient)
 
     def derivatives(self, w):
-        """Objective value, per-weight gradient, and node-space Hessian data.
+        """Objective value, per-weight gradient, and the weight Hessian.
 
-        Per row i with coefficient vector c_i: the A-gradient is
-        -sigma2 * c_i^T M2 c_i and the Hessian core is 2 sigma2 * M1 o M2
-        (D: -c_i^T M1 c_i and M1 o M1); group entries sum their rows.
-        With M_k = S_k^T S_k, c_i^T M_k c_i is the squared norm of S_k c_i.
+        With d1 = (alpha + lam)^(-1/2), d = (alpha + lam)^(-1) for the
+        A-criterion (d = d1 for D) and a row's projection t_i = T c_i,
+        the gradient entry is -sigma2 * sum_a d_a^2 t_i[a]^2 (D: no sigma2)
+        and the Hessian core is 2 sigma2 * M1 o Md (D: M1 o M1).
+        Ungrouped: the Hessian is ``LowRankHessian(coef_rows, core)``,
+        interpolated in node space.  Grouped: with G^_k = T G_k T^T,
+        g_k = -sigma2 * sum_a d_a^2 G^_k[a, a] and H = 2 sigma2 * X X^T,
+        X_k = vec(d1_a d_b G^_k[a, b]) -- exact, dense and PSD.
         """
         setup = self.setup
         lam, vec = self._core_eigh(w)
@@ -272,29 +280,25 @@ class PosteriorEngine:
         inv = np.full(lam.size, 1.0 / setup.alpha)
         inv[: kept.size] = 1.0 / (setup.alpha + kept)
         t = vec.T @ self.r_factor
-        s1 = np.sqrt(inv)[:, None] * t
+        d1 = np.sqrt(inv)
+        s1 = d1[:, None] * t
         s2 = inv[:, None] * t
         m1 = s1.T @ s1
         m2 = s2.T @ s2
-        c = self.coef_rows
         if setup.criterion == "A":
-            sc = s2 @ c
-            per_row = -setup.sigma2_noise * np.einsum("ij,ij->j", sc, sc)
-            htilde = 2.0 * setup.sigma2_noise * (m1 * m2)
+            d, md, g_scale, h_scale = inv, m2, setup.sigma2_noise, 2.0 * setup.sigma2_noise
         else:
-            sc = s1 @ c
-            per_row = -np.einsum("ij,ij->j", sc, sc)
-            htilde = m1 * m1
-        gradient = per_row if self.starts is None else np.add.reduceat(per_row, self.starts)
-        return value, InterpolatedDerivatives(m1, m2, htilde, gradient, self.coef_weights)
-
-    @cached_property
-    def coef_weights(self) -> np.ndarray:
-        """Output coefficients summed over each weight group (N, n_weights)."""
-        if self.starts is None:
-            return self.coef_rows
-        return np.add.reduceat(self.coef_rows, self.starts, axis=1)
-
+            d, md, g_scale, h_scale = d1, m1, 1.0, 1.0
+        if self.group_grams is None:
+            sc = (d[:, None] * t) @ self.coef_rows
+            gradient = -g_scale * np.einsum("ij,ij->j", sc, sc)
+            hessian = LowRankHessian(self.coef_rows, h_scale * (m1 * md))
+        else:
+            ghat = t @ self.group_grams @ t.T  # (n_weights, r1, r1)
+            gradient = -g_scale * np.einsum("kaa,a->k", ghat, d * d)
+            x = (ghat * np.outer(d1, d)).reshape(self.n_weights, -1)
+            hessian = h_scale * (x @ x.T)
+        return value, InterpolatedDerivatives(m1, m2, hessian, gradient)
 
 def _truncate(lam: np.ndarray) -> np.ndarray:
     lam = np.clip(lam, 0.0, None)

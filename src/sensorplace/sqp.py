@@ -27,7 +27,7 @@ from .objective import (
     dense_objective_and_derivatives,
     dense_objective_value,
 )
-from .qp_solver import LowRankHessian, QpProblem, solve_qp
+from .qp_solver import QpProblem, solve_qp
 
 __all__ = ["SqpConfig", "SqpResult", "initial_point", "solve_relaxed"]
 
@@ -83,8 +83,7 @@ class _SurrogateObjective:
 
     def derivatives(self, w):
         value, deriv = self.engine.derivatives(w)
-        hess = LowRankHessian(deriv.coef_weights, deriv.htilde)
-        return value, deriv.gradient, hess
+        return value, deriv.gradient, deriv.hessian
 
 
 class _DenseObjective:

@@ -294,7 +294,7 @@ def test_criterion_7_structural_properties():
         w, budget = feasible(rng, n)
         weights = DesignWeights(w, budget)
         _, deriv = PosteriorEngine(lowrank, setup).derivatives(weights.w)
-        hs = deriv.coef_weights.T @ deriv.htilde @ deriv.coef_weights
+        hs = deriv.hessian.dense()
         eigs = np.linalg.eigvalsh(0.5 * (hs + hs.T))
         psd_ok &= eigs.min() >= -1e-10 * max(eigs.max(), 1e-30)
 

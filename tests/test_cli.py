@@ -80,6 +80,18 @@ class TestDesignCommand:
         w_rel = np.array([float(r[2]) for r in rows[1:]])
         assert abs(w_int.sum() - w_rel.sum()) <= 0.5 + 1e-9
 
+    def test_non_converged_sqp_is_reported(self, tmp_path):
+        # At TINY_LIDAR's node constant 4 the surrogate gives every sector
+        # the same gradient, so the uniform start is already optimal; at 8
+        # one SQP iteration cannot finish
+        extra = "node_constant = 8\nmax_outer = 1\nepsilon = 1e-12\n"
+        cfg = write_config(tmp_path, TINY_LIDAR + extra)
+        out = tmp_path / "short"
+        assert main(["--command", "design", "--config", cfg, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["metrics"]["sqp_status"] == "max_outer"
+        assert summary["status"] == "not_converged"
+
     def test_dense_guard_counts_rows(self, tmp_path, monkeypatch):
         import sensorplace.lidar as lidar_module
 

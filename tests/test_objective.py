@@ -5,10 +5,12 @@ from numpy.testing import assert_allclose
 from sensorplace import (
     BayesSetup,
     DesignWeights,
+    LidarConfig,
     LowRankKernel,
     NumericalFailure,
     PosteriorEngine,
     RectDomain,
+    build_lidar_problem,
     build_lowrank,
     build_mesh,
     dense_objective_and_derivatives,
@@ -178,15 +180,15 @@ class TestInterpolatedDerivatives:
         assert_allclose(deriv.gradient, -np.sum(c * ((b.T @ b) @ c), axis=0), rtol=1e-12)
 
     def test_hessian_matches_dense_formula_at_generous_nodes(self, rng):
-        # entries of coef^T htilde coef vs the dense Hessian of the
-        # surrogate matrix; agreement is limited by interpolating the
-        # product of the two smooth factors
+        # entries of the interpolated coef^T htilde coef vs the dense
+        # Hessian of the surrogate matrix; agreement is limited by
+        # interpolating the product of the two smooth factors
         lowrank = self.surrogate_problem(rng, n=36, n_nodes=14)
         n = lowrank.n_rows
         weights = feasible_weights(rng, n)
         setup = BayesSetup(alpha=1.0, criterion="A")
         _, deriv = PosteriorEngine(lowrank, setup).derivatives(weights.w)
-        h_interp = deriv.coef_weights.T @ deriv.htilde @ deriv.coef_weights
+        h_interp = deriv.hessian.dense()
         _, _, h_dense = dense_objective_and_derivatives(lowrank.dense(), weights, setup)
         assert np.abs(h_interp - h_dense).max() <= 1e-4 * max(1.0, np.abs(h_dense).max())
 
@@ -196,7 +198,7 @@ class TestInterpolatedDerivatives:
         for criterion in ("A", "D"):
             setup = BayesSetup(alpha=0.2, criterion=criterion)
             _, deriv = PosteriorEngine(lowrank, setup).derivatives(weights.w)
-            eigs = np.linalg.eigvalsh(deriv.htilde)
+            eigs = np.linalg.eigvalsh(deriv.hessian.core)
             assert eigs.min() >= -1e-10 * max(eigs.max(), 1e-30)
 
 
@@ -336,14 +338,39 @@ class TestGroupedEngine:
         _, grad, _ = dense_objective_and_derivatives(lowrank.dense(), weights, setup)
         assert_allclose(deriv.gradient, grad, rtol=1e-10)
 
-    def test_coef_weights_and_grams_are_group_sums(self, rng):
+    @staticmethod
+    def grouped_cases(rng):
+        """(lowrank, row_group, time_precision): unequal groups, a tiny
+        LIDAR problem, and two-time groups with an SPD time precision."""
+        row_group = TestGroupedEngine.ROW_GROUP
+        yield random_lowrank(rng, n=row_group.size, n_nodes=7), row_group, None
+        prob = build_lidar_problem(LidarConfig(n_d=8, n_r=3, n_x=6, n_t=2), 4.0)
+        yield prob.lowrank, prob.row_group, None
+        pair_group = np.repeat(np.arange(6), 2)
+        p = np.array([[1.5, -0.4], [-0.4, 0.9]])
+        yield random_lowrank(rng, n=pair_group.size, n_nodes=7), pair_group, p
+
+    @pytest.mark.parametrize("criterion", ["A", "D"])
+    def test_exact_derivatives_match_dense_oracle(self, rng, criterion):
+        for lowrank, row_group, p in self.grouped_cases(rng):
+            n_w = int(row_group.max()) + 1
+            setup = BayesSetup(alpha=0.4, sigma2_noise=1.3, criterion=criterion, time_precision=p)
+            w = rng.uniform(0.1, 0.9, n_w)
+            _, deriv = PosteriorEngine(lowrank, setup, row_group).derivatives(w)
+            weights = DesignWeights(w, float(n_w), row_group=row_group)
+            _, grad, hess = dense_objective_and_derivatives(lowrank.dense(), weights, setup)
+            assert deriv.hessian.shape == (n_w, n_w)
+            assert np.abs(deriv.gradient - grad).max() <= 1e-10 * np.abs(grad).max()
+            assert np.abs(deriv.hessian - hess).max() <= 1e-10 * np.abs(hess).max()
+            eigs = np.linalg.eigvalsh(deriv.hessian)
+            assert eigs.min() >= -1e-12 * eigs.max()
+
+    def test_grams_are_group_sums(self, rng):
         lowrank = random_lowrank(rng, n=self.ROW_GROUP.size, n_nodes=7)
         engine = PosteriorEngine(lowrank, BayesSetup(alpha=1.0), self.ROW_GROUP)
         c = lowrank.coef_out
         cols = [c[:, self.ROW_GROUP == k] for k in range(6)]
-        sums = np.column_stack([ck.sum(axis=1) for ck in cols])
         grams = np.stack([ck @ ck.T for ck in cols])
-        assert_allclose(engine.coef_weights, sums, rtol=1e-13, atol=1e-13)
         assert_allclose(engine.group_grams, grams, rtol=1e-13, atol=1e-13)
 
     def test_row_count_mismatch_rejected(self, rng):

@@ -202,3 +202,22 @@ class TestThinBudgetSlack:
             prob.lowrank, prob.setup, float(prob.budget), SqpConfig(), row_group=prob.row_group
         )
         assert res.status == "converged"
+
+
+class TestGroupedSurrogateMatchesDense:
+    @pytest.mark.parametrize("epsilon", [1e-3, 1e-8])
+    def test_lidar_surrogate_sqp_matches_dense_sqp(self, epsilon):
+        # The grouped surrogate route carries the exact Hessian of F_s, so
+        # SQP on the surrogate takes the same steps as the dense oracle run
+        # on the materialized F_s.
+        cfg = LidarConfig(n_d=24, n_r=6, n_x=10, n_t=3, c1=0.5, c2=-0.2, alpha=0.01, r=0.2)
+        prob = build_lidar_problem(cfg, 8.0, criterion="A")
+        surrogate, dense = (
+            solve_relaxed(kernel, prob.setup, float(prob.budget), SqpConfig(epsilon=epsilon),
+                          row_group=prob.row_group)
+            for kernel in (prob.lowrank, prob.lowrank.dense())
+        )
+        assert surrogate.status == dense.status
+        assert surrogate.iterations == dense.iterations
+        assert surrogate.step_lengths == dense.step_lengths
+        assert np.abs(surrogate.weights.w - dense.weights.w).max() <= 1e-10
