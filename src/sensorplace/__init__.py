@@ -55,6 +55,7 @@ from .objective import (
     dense_objective_value,
     group_reduce,
     group_reduce_matrix,
+    shared_engine,
 )
 from .qp_solver import (
     LowRankHessian,

@@ -23,6 +23,8 @@ from functools import cached_property
 import numpy as np
 
 from .domains import Kernel, MeshedDomain
+from .exceptions import NumericalFailure
+from .qp_solver import CORE_BLOCK
 
 __all__ = [
     "Grid1D",
@@ -153,16 +155,41 @@ class LowRankKernel:
     @cached_property
     def input_r(self) -> np.ndarray:
         """A factor R with R^T R = B^T B for the input factor
-        B = coef_in^T node_values^T = Q1 (R1 node_values^T).
+        B = coef_in^T node_values^T.
 
-        R = R1 node_values^T from the thin QR coef_in^T = Q1 R1, so B is
-        never formed; R is (min(n_cols, N_in), N_out).
+        R = R1 node_values^T with R1 = diag(sqrt(lam)) V^T from the
+        eigendecomposition V diag(lam) V^T of the N_in x N_in Gram
+        coef_in coef_in^T, formed over column blocks, so neither B nor a
+        copy of coef_in is made.  Eigenvalues at or below N_in * eps *
+        lam_max are round-off of a rank-deficient Gram and are dropped;
+        R is (min(n_cols, N_in), N_out).
         """
-        return np.linalg.qr(self.coef_in.T, mode="r") @ self.node_values.T
+        gram = column_gram(self.coef_in)
+        # eigh would return a NaN eigenvalue that the cut below drops
+        if not np.all(np.isfinite(gram)):
+            raise NumericalFailure("Gram of the input coefficients is not finite",
+                                   {"shape": self.coef_in.shape})
+        lam, vec = np.linalg.eigh(gram)
+        keep = lam > lam.size * np.finfo(float).eps * lam[-1]
+        r1 = np.sqrt(lam[keep])[:, None] * vec[:, keep].T
+        return r1 @ self.node_values.T
 
     def dense(self) -> np.ndarray:
         """Materialize F_s (for oracles and small problems only)."""
         return self.coef_out.T @ (self.node_values @ self.coef_in)
+
+
+def column_gram(mat: np.ndarray, root: np.ndarray | None = None) -> np.ndarray:
+    """S S^T for S = mat diag(root), summed over CORE_BLOCK-column blocks
+    so no scaled copy of ``mat`` is allocated; symmetric to the last bit."""
+    n_rows, n = mat.shape
+    gram = np.zeros((n_rows, n_rows))
+    for j in range(0, n, CORE_BLOCK):
+        block = mat[:, j : j + CORE_BLOCK]
+        if root is not None:
+            block = block * root[j : j + CORE_BLOCK]
+        gram += block @ block.T
+    return 0.5 * (gram + gram.T)
 
 
 def _node_tuples(grids):

@@ -29,15 +29,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import LowRankKernel
+from .chebyshev import LowRankKernel, column_gram
 from .exceptions import NumericalFailure
-from .qp_solver import LowRankHessian
+from .qp_solver import CORE_BLOCK, LowRankHessian
 
 __all__ = [
     "DesignWeights",
     "BayesSetup",
     "InterpolatedDerivatives",
     "PosteriorEngine",
+    "shared_engine",
     "dense_objective_value",
     "dense_objective_and_derivatives",
     "group_reduce",
@@ -188,39 +189,47 @@ def _whiten_rows(coef_or_matrix: np.ndarray, time_precision: np.ndarray, rows_ax
 class PosteriorEngine:
     """Repeated-evaluation workhorse for one surrogate kernel.
 
-    Keeps only a factor R (r1 x N, r1 <= N_in) of the weight-independent
-    input factor B = coef_in^T node_values^T = Q R, which the surrogate
-    computes once (``LowRankKernel.input_r``) for every engine built on it.
-    With G = coef_out W coef_out^T, F_s^T W F_s = Q (R G R^T) Q^T, so its
-    nonzero spectrum is that of the small core K = R G R^T and each
-    evaluation costs one r1 x r1 eigendecomposition.  With
-    K = V diag(lam) V^T and T = V^T R,
+    Keeps only a factor R (r1 x N, r1 <= N_in) with R^T R = B^T B for the
+    weight-independent input factor B = coef_in^T node_values^T, which the
+    surrogate computes once (``LowRankKernel.input_r``) for every engine
+    built on it.  With G = coef_out W coef_out^T, B G B^T = Q (R G R^T) Q^T
+    for some Q with orthonormal columns, so the nonzero spectrum of
+    F_s^T W F_s is that of the small core K = R G R^T and each evaluation
+    costs one r1 x r1 eigendecomposition.  With K = V diag(lam) V^T and
+    T = V^T R,
 
         M_k = B^T (F_s^T W F_s + alpha I)^(-k) B = T^T diag((alpha + lam)^(-k)) T,
 
     where a truncated eigenvalue counts as 0.  With row groups, per-group
     Gram matrices G_k are precomputed, G is their weighted sum, and the
-    gradient and Hessian are exact, from T G_k T^T; without groups they
-    are interpolated in node space from M1 and M2.
+    gradient and Hessian are exact, from T G_k T^T; without groups G is
+    summed over column blocks and the derivatives are interpolated in
+    node space from M1 and M2.
+
+    The engine keeps the last weight vector with its core
+    eigendecomposition, so ``value`` then ``derivatives`` at one point
+    (an accepted line-search step) form one Gram.  ``shared_engine``
+    gives each surrogate one engine per setup and grouping.
     """
 
     def __init__(self, lowrank: LowRankKernel, setup: BayesSetup, row_group=None):
         self.setup = setup
+        self._last = None  # (w, lam, vec) of the last core eigendecomposition
         coef_rows = lowrank.coef_out
         if setup.time_precision is not None:
             coef_rows = _whiten_rows(coef_rows, setup.time_precision, rows_axis=1)
         self.coef_rows = coef_rows
         self.n_ambient = lowrank.n_cols
         self.r_factor = lowrank.input_r  # (r1, N_out)
-        # QR has no convergence failure; a NaN in B would otherwise
-        # surface only at the first evaluation.
+        # a NaN in node_values would otherwise surface only at the first
+        # evaluation
         if not np.all(np.isfinite(self.r_factor)):
             raise NumericalFailure(
-                "QR factor of the input factor is not finite",
+                "factor R of the input factor is not finite",
                 {"shape": (lowrank.n_cols, lowrank.node_values.shape[0])},
             )
         if row_group is not None:
-            row_group = np.asarray(row_group, dtype=int)
+            row_group = np.array(row_group, dtype=int)  # a key of shared_engine
             if row_group.size != coef_rows.shape[1]:
                 raise ValueError("row_group does not match the row count")
             self.n_weights = int(row_group.max()) + 1
@@ -232,16 +241,18 @@ class PosteriorEngine:
         else:
             self.n_weights = coef_rows.shape[1]
             self.group_grams = None
+        self.row_group = row_group
 
     def weighted_gram(self, w: np.ndarray) -> np.ndarray:
         w = np.clip(np.asarray(w, dtype=float), 0.0, None)
         if self.group_grams is not None:
             return np.tensordot(w, self.group_grams, axes=1)
-        cw = self.coef_rows * w[None, :]
-        g = cw @ self.coef_rows.T
-        return 0.5 * (g + g.T)
+        return column_gram(self.coef_rows, np.sqrt(w))
 
     def _core_eigh(self, w):
+        w = np.asarray(w, dtype=float)
+        if self._last is not None and np.array_equal(self._last[0], w):
+            return self._last[1], self._last[2]
         g = self.weighted_gram(w)
         k = self.r_factor @ g @ self.r_factor.T
         k = 0.5 * (k + k.T)
@@ -252,7 +263,9 @@ class PosteriorEngine:
                 "eigendecomposition of the posterior core failed",
                 {"size": k.shape[0], "fro_norm": float(np.linalg.norm(k))},
             ) from err
-        return lam[::-1], vec[:, ::-1]
+        lam, vec = lam[::-1], vec[:, ::-1]
+        self._last = (w.copy(), lam, vec)
+        return lam, vec
 
     def eigenvalues(self, w) -> np.ndarray:
         lam, _ = self._core_eigh(w)
@@ -290,8 +303,12 @@ class PosteriorEngine:
         else:
             d, md, g_scale, h_scale = d1, m1, 1.0, 1.0
         if self.group_grams is None:
-            sc = (d[:, None] * t) @ self.coef_rows
-            gradient = -g_scale * np.einsum("ij,ij->j", sc, sc)
+            dt = d[:, None] * t
+            gradient = np.empty(self.n_weights)
+            for j in range(0, self.n_weights, CORE_BLOCK):
+                sc = dt @ self.coef_rows[:, j : j + CORE_BLOCK]
+                gradient[j : j + CORE_BLOCK] = np.einsum("ij,ij->j", sc, sc)
+            gradient *= -g_scale
             hessian = LowRankHessian(self.coef_rows, h_scale * (m1 * md))
         else:
             ghat = t @ self.group_grams @ t.T  # (n_weights, r1, r1)
@@ -299,6 +316,42 @@ class PosteriorEngine:
             x = (ghat * np.outer(d1, d)).reshape(self.n_weights, -1)
             hessian = h_scale * (x @ x.T)
         return value, InterpolatedDerivatives(m1, m2, hessian, gradient)
+
+
+def _same_array(a, b) -> bool:
+    if a is None or b is None:
+        return a is b
+    return np.array_equal(a, b)
+
+
+def _same_setup(a: BayesSetup, b: BayesSetup) -> bool:
+    return (
+        a.alpha == b.alpha
+        and a.sigma2_noise == b.sigma2_noise
+        and a.criterion == b.criterion
+        and _same_array(a.time_precision, b.time_precision)
+    )
+
+
+def shared_engine(lowrank: LowRankKernel, setup: BayesSetup, row_group=None) -> PosteriorEngine:
+    """The surrogate's engine for this setup and grouping.
+
+    The last engine built is kept on the surrogate, next to its cached
+    ``input_r``, and reused while every setup field (``time_precision``
+    included) and the grouping are equal; otherwise a new engine
+    replaces it.  SQP and the integrality gap of one design thus share
+    one engine and its last-point cache.
+    """
+    engine = vars(lowrank).get("_engine")
+    if (
+        engine is None
+        or not _same_setup(engine.setup, setup)
+        or not _same_array(engine.row_group, row_group)
+    ):
+        engine = PosteriorEngine(lowrank, setup, row_group)
+        vars(lowrank)["_engine"] = engine
+    return engine
+
 
 def _truncate(lam: np.ndarray) -> np.ndarray:
     lam = np.clip(lam, 0.0, None)

@@ -19,8 +19,8 @@ from .chebyshev import LowRankKernel
 from .objective import (
     BayesSetup,
     DesignWeights,
-    PosteriorEngine,
     dense_objective_value,
+    shared_engine,
 )
 
 __all__ = [
@@ -43,7 +43,13 @@ class RoundingPlan:
     def __post_init__(self):
         order = np.asarray(self.order, dtype=int)
         object.__setattr__(self, "order", order)
-        if np.unique(order).size != order.size or order.min() != 0 or order.max() != order.size - 1:
+        n = order.size
+        if order.ndim != 1 or n == 0 or order.min() < 0 or order.max() >= n:
+            raise ValueError("order must be a permutation of 0..n-1")
+        # n entries in 0..n-1 are a permutation iff every index is hit
+        seen = np.zeros(n, dtype=bool)
+        seen[order] = True
+        if not seen.all():
             raise ValueError("order must be a permutation of 0..n-1")
 
 
@@ -64,20 +70,28 @@ def sum_up_round(weights: DesignWeights, plan: RoundingPlan | None = None) -> De
     rule keeps sum(w_int) <= sum(w_rel) + 0.5, so the binary design gets
     the integer budget floor(budget + 0.5), which a fractional budget can
     exceed.
+
+    Vectorized and exact at ties: with c_i the running sum along the
+    order (summed left to right, as a scan would) and k_i its rounding
+    half up, the scan's integer sum after i entries (i from 1) is
+    cum_i = min(cum_{i-1} + 1, k_i), since cum_{i-1} <= k_i; unrolled,
+    cum_i = i + min(0, min_{j<=i} (k_j - j)).  A naive floor(c + 0.5)
+    is not the scan's rule once a float sum jumps past a half, e.g.
+    15.499999999999998 + 1.0 = 16.5.
     """
     w = weights.w
     if plan is None:
         plan = natural_plan(w.size)
     if plan.order.size != w.size:
         raise ValueError("plan order length must match the weights")
-    w_int = np.zeros_like(w)
-    cum_rel = 0.0
-    cum_int = 0.0
-    for idx in plan.order:
-        cum_rel += w[idx]
-        if cum_rel - cum_int >= 0.5:
-            w_int[idx] = 1.0
-            cum_int += 1.0
+    cum_rel = np.cumsum(w[plan.order])
+    whole = np.floor(cum_rel)
+    # c - floor(c) is exact, so this is the scan's test c - cum >= 0.5
+    k = whole + (cum_rel - whole >= 0.5)
+    i = np.arange(1.0, w.size + 1.0)
+    cum_int = i + np.minimum(np.minimum.accumulate(k - i), 0.0)
+    w_int = np.empty_like(w)
+    w_int[plan.order] = np.diff(cum_int, prepend=0.0)
     budget = float(math.floor(weights.budget + 0.5))
     return DesignWeights(w_int, budget, row_group=weights.row_group, binary=True)
 
@@ -113,8 +127,10 @@ def integrality_gap(
     """
     if w_rel.n_weights != w_int.n_weights:
         raise ValueError("weight vectors must have the same length")
-    engine = PosteriorEngine(lowrank, setup, w_rel.row_group)
-    gap_s = engine.value(w_int.w) - engine.value(w_rel.w)
+    # the engine SQP used; w_rel first, as its last point is cached
+    engine = shared_engine(lowrank, setup, w_rel.row_group)
+    value_rel = engine.value(w_rel.w)
+    gap_s = engine.value(w_int.w) - value_rel
     gap_d = None
     if dense_f is not None:
         gap_d = dense_objective_value(dense_f, w_int, setup) - dense_objective_value(

@@ -23,9 +23,9 @@ from .exceptions import NonconvergenceError, NumericalFailure
 from .objective import (
     BayesSetup,
     DesignWeights,
-    PosteriorEngine,
     dense_objective_and_derivatives,
     dense_objective_value,
+    shared_engine,
 )
 from .qp_solver import QpProblem, solve_qp
 
@@ -75,7 +75,7 @@ def initial_point(n_weights: int, budget: float, row_group=None) -> DesignWeight
 
 class _SurrogateObjective:
     def __init__(self, lowrank: LowRankKernel, setup: BayesSetup, row_group=None):
-        self.engine = PosteriorEngine(lowrank, setup, row_group)
+        self.engine = shared_engine(lowrank, setup, row_group)
         self.n_weights = self.engine.n_weights
 
     def value(self, w):
@@ -191,7 +191,7 @@ def solve_relaxed(
             status = "line_search_failed"
             break
 
-        w = np.clip(w + alpha * p, 0.0, 1.0)
+        w = candidate
         dual = dual + alpha * (sol.lam - dual)
         trace.append(candidate_value)
         steps.append(alpha)

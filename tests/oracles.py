@@ -67,6 +67,22 @@ def enumerate_box_budget_qp(g, hess, box_low, box_high, budget_rhs):
     return best, best_val
 
 
+def sum_up_round_scan(w, order):
+    """Sum-up rounding by the scan itself: walk ``order``, keep running
+    relaxed and integer sums, and set an entry to 1 whenever their
+    difference reaches 0.5."""
+    w = np.asarray(w, dtype=float)
+    w_int = np.zeros_like(w)
+    cum_rel = 0.0
+    cum_int = 0.0
+    for idx in order:
+        cum_rel += w[idx]
+        if cum_rel - cum_int >= 0.5:
+            w_int[idx] = 1.0
+            cum_int += 1.0
+    return w_int
+
+
 def lagrange_product(nodes, xs):
     """Lagrange basis values l_p(x) = prod_{k!=p} (x - x_k)/(x_p - x_k).
 

@@ -13,12 +13,18 @@ from sensorplace import (
     build_lidar_problem,
     build_lowrank,
     build_mesh,
+    cubic_distance_kernel,
     dense_objective_and_derivatives,
     dense_objective_value,
     gaussian_difference_kernel,
     group_reduce,
     group_reduce_matrix,
+    integrality_gap,
+    shared_engine,
+    solve_relaxed,
+    sum_up_round,
 )
+from sensorplace.qp_solver import CORE_BLOCK
 from oracles import dense_value_direct, dense_value_fn, finite_difference_gradient
 
 
@@ -87,13 +93,13 @@ class TestPosteriorSpectrum:
         with pytest.raises(NumericalFailure):
             PosteriorEngine(lowrank, BayesSetup(alpha=1.0))
 
-    def test_engines_share_one_qr(self, rng, monkeypatch):
+    def test_engines_share_one_input_factor(self, rng, monkeypatch):
         n = 40
         lowrank = random_lowrank(rng, n=n, n_nodes=6)
         first = PosteriorEngine(lowrank, BayesSetup(alpha=1.0))
         calls = []
-        qr = np.linalg.qr
-        monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(a) or qr(*a, **k))
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(a) or eigh(*a, **k))
         second = PosteriorEngine(lowrank, BayesSetup(alpha=0.5, criterion="D"))
         assert calls == []
         assert second.r_factor is first.r_factor
@@ -287,6 +293,81 @@ class TestDenseObjectiveAndDerivatives:
         assert engine.value(w) == pytest.approx(
             dense_objective_value(lowrank.dense(), weights, setup), rel=1e-10
         )
+
+
+class TestSharedEngine:
+    def interval_problem(self, kernel=None):
+        mesh = build_mesh(RectDomain((-1.0,), (1.0,)), 30)
+        return build_lowrank(kernel or gaussian_difference_kernel(), mesh, mesh, 8)
+
+    def test_one_engine_and_one_gram_per_weight_vector(self, monkeypatch):
+        # a problem whose line search backtracks
+        lowrank = self.interval_problem(cubic_distance_kernel())
+        setup = BayesSetup(alpha=0.001)
+        inits, grams = [], []
+        init, gram = PosteriorEngine.__init__, PosteriorEngine.weighted_gram
+        monkeypatch.setattr(PosteriorEngine, "__init__",
+                            lambda self, *a, **k: inits.append(1) or init(self, *a, **k))
+        monkeypatch.setattr(PosteriorEngine, "weighted_gram",
+                            lambda self, w: grams.append(w.copy()) or gram(self, w))
+        res = solve_relaxed(lowrank, setup, 6.0)
+        rounded = sum_up_round(res.weights)
+        assert res.status == "converged" and min(res.step_lengths) < 1.0
+        assert not np.array_equal(rounded.w, res.weights.w)
+        integrality_gap(lowrank, setup, res.weights, rounded)
+        assert len(inits) == 1
+        # the start, every line-search trial (accepted at step 2^-j after
+        # j backtracks), then w_int; derivatives and w_rel hit the cache
+        trials = sum(1 + round(-np.log2(a)) for a in res.step_lengths)
+        assert len(grams) == 1 + trials + 1
+        assert all(not np.array_equal(a, b) for a, b in zip(grams, grams[1:]))
+
+    def test_changed_setup_gets_a_fresh_engine(self, rng):
+        lowrank = LowRankKernel(rng.normal(size=(5, 24)), rng.normal(size=(5, 5)),
+                                rng.normal(size=(5, 24)))
+        p = np.array([[1.5, -0.4], [-0.4, 0.9]])
+        base = BayesSetup(alpha=1.0, time_precision=p)
+        variants = [
+            (BayesSetup(alpha=0.5, time_precision=p), None),
+            (BayesSetup(alpha=1.0, criterion="D", time_precision=p), None),
+            (BayesSetup(alpha=1.0, time_precision=2.0 * p), None),
+            (BayesSetup(alpha=1.0), None),
+            (base, np.repeat(np.arange(12), 2)),
+        ]
+        w = rng.uniform(0.1, 0.9, 24)
+        for setup, row_group in variants:
+            first = shared_engine(lowrank, base)
+            assert shared_engine(lowrank, BayesSetup(alpha=1.0, time_precision=p.copy())) is first
+            first.value(w)
+            engine = shared_engine(lowrank, setup, row_group)
+            assert engine is not first
+            x = w if row_group is None else w[::2]
+            assert engine.value(x) == PosteriorEngine(lowrank, setup, row_group).value(x)
+
+    def test_gap_after_solve_with_another_setup(self):
+        lowrank = self.interval_problem()
+        res = solve_relaxed(lowrank, BayesSetup(alpha=0.1), 6.0)
+        rounded = sum_up_round(res.weights)
+        setup = BayesSetup(alpha=0.3, criterion="D")
+        gap = integrality_gap(lowrank, setup, res.weights, rounded)
+        fresh = PosteriorEngine(lowrank, setup)
+        assert gap.surrogate == fresh.value(rounded.w) - fresh.value(res.weights.w)
+
+    @pytest.mark.parametrize("criterion", ["A", "D"])
+    def test_blocked_gram_and_gradient_match_unblocked(self, rng, criterion):
+        n = 2 * CORE_BLOCK + 17  # a ragged last block
+        lowrank = random_lowrank(rng, n=n, n_nodes=9)
+        setup = BayesSetup(alpha=0.4, sigma2_noise=1.7, criterion=criterion)
+        engine = PosteriorEngine(lowrank, setup)
+        w = rng.uniform(0.0, 1.0, n)
+        c = lowrank.coef_out
+        gram = (c * w) @ c.T
+        assert np.abs(engine.weighted_gram(w) - gram).max() <= 1e-13 * np.abs(gram).max()
+        _, deriv = engine.derivatives(w)
+        # g_i = -sigma2 c_i^T M2 c_i (A), -c_i^T M1 c_i (D)
+        m, scale = (deriv.m2, 1.7) if criterion == "A" else (deriv.m1, 1.0)
+        grad = -scale * np.einsum("ij,ij->j", c, m @ c)
+        assert np.abs(deriv.gradient - grad).max() <= 1e-13 * np.abs(grad).max()
 
 
 class TestGroupReduce:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
@@ -19,6 +19,10 @@ from sensorplace import (
     prefix_deviation,
     sum_up_round,
 )
+from oracles import sum_up_round_scan
+
+# Relaxed values whose running sums land on or next to halves.
+TIE_VALUES = [0.0, 0.1, 0.2, 0.25, 0.3, 1 / 3, 0.5, 2 / 3, 0.7, 0.75, 0.9, 1.0]
 
 
 def weights(w, budget=None):
@@ -63,6 +67,21 @@ class TestSumUpRound:
         bound = 0.5 + 1e-12 * max(1.0, float(w.sum()))
         assert prefix_deviation(w, rounded.w, plan.order) <= bound
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 80).flatmap(lambda n: st.tuples(
+        st.lists(st.sampled_from(TIE_VALUES), min_size=n, max_size=n),
+        st.permutations(range(n)),
+    )))
+    # the running sum goes 3.4999999999999996 -> 4.5 at the last entry,
+    # where floor(cumsum + 0.5) would step by 2
+    @example(([0.75, 0.9, 0.2, 0.75, 0.9, 1.0], list(range(6))))
+    # just below a half, where c + 0.5 rounds up to 1.0
+    @example(([np.nextafter(0.5, 0.0)], [0]))
+    def test_matches_scan_at_ties(self, case):
+        w, order = np.array(case[0]), np.array(case[1])
+        rounded = sum_up_round(weights(w), RoundingPlan(order))
+        assert np.array_equal(rounded.w, sum_up_round_scan(w, order))
+
     def test_fractional_budget(self):
         rounded = sum_up_round(DesignWeights(np.array([0.7]), 0.7))
         assert_allclose(rounded.w, [1.0])
@@ -84,6 +103,10 @@ class TestSumUpRound:
     def test_plan_validation(self):
         with pytest.raises(ValueError):
             RoundingPlan(np.array([0, 0, 1]))
+        with pytest.raises(ValueError):
+            RoundingPlan(np.array([0, -1, 1]))
+        with pytest.raises(ValueError):
+            RoundingPlan(np.array([0, 3, 1]))
         with pytest.raises(ValueError):
             sum_up_round(weights([0.5, 0.5]), natural_plan(3))
 
