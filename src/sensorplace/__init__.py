@@ -53,8 +53,6 @@ from .objective import (
     PosteriorEngine,
     dense_objective_and_derivatives,
     dense_objective_value,
-    group_reduce,
-    group_reduce_matrix,
     shared_engine,
 )
 from .qp_solver import (

@@ -23,8 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .domains import Kernel, MeshedDomain
-from .exceptions import NumericalFailure
-from .qp_solver import CORE_BLOCK
+from .gram import GRAM_CUT_PER_ROW, column_gram, cut_mask, sym_eigh
 
 __all__ = [
     "Grid1D",
@@ -164,32 +163,16 @@ class LowRankKernel:
         lam_max are round-off of a rank-deficient Gram and are dropped;
         R is (min(n_cols, N_in), N_out).
         """
-        gram = column_gram(self.coef_in)
-        # eigh would return a NaN eigenvalue that the cut below drops
-        if not np.all(np.isfinite(gram)):
-            raise NumericalFailure("Gram of the input coefficients is not finite",
-                                   {"shape": self.coef_in.shape})
-        lam, vec = np.linalg.eigh(gram)
-        keep = lam > lam.size * np.finfo(float).eps * lam[-1]
+        lam, vec = sym_eigh(column_gram(self.coef_in), "Gram of the input coefficients")
+        # R's rows by ascending lam: any order is valid, this one fixes the round-off
+        lam, vec = lam[::-1], vec[:, ::-1]
+        keep = cut_mask(lam, lam.size * GRAM_CUT_PER_ROW)
         r1 = np.sqrt(lam[keep])[:, None] * vec[:, keep].T
         return r1 @ self.node_values.T
 
     def dense(self) -> np.ndarray:
         """Materialize F_s (for oracles and small problems only)."""
         return self.coef_out.T @ (self.node_values @ self.coef_in)
-
-
-def column_gram(mat: np.ndarray, root: np.ndarray | None = None) -> np.ndarray:
-    """S S^T for S = mat diag(root), summed over CORE_BLOCK-column blocks
-    so no scaled copy of ``mat`` is allocated; symmetric to the last bit."""
-    n_rows, n = mat.shape
-    gram = np.zeros((n_rows, n_rows))
-    for j in range(0, n, CORE_BLOCK):
-        block = mat[:, j : j + CORE_BLOCK]
-        if root is not None:
-            block = block * root[j : j + CORE_BLOCK]
-        gram += block @ block.T
-    return 0.5 * (gram + gram.T)
 
 
 def _node_tuples(grids):

@@ -142,8 +142,13 @@ def build_runspec(entries: dict, overrides: dict) -> RunSpec:
         raise ConfigError(f"command must be one of {COMMANDS}")
     if spec.problem not in ("lidar", *ANALYTIC_KERNELS):
         raise ConfigError(f"problem must be lidar or one of {sorted(ANALYTIC_KERNELS)}")
-    if spec.criterion not in ("A", "D"):
-        raise ConfigError("criterion must be A or D")
+    try:
+        BayesSetup(alpha=spec.alpha, sigma2_noise=spec.sigma2_noise, criterion=spec.criterion)
+        spec.sqp_config()
+    except ValueError as err:
+        raise ConfigError(f"bad solver configuration: {err}") from err
+    if not (0.0 < spec.budget_fraction <= 1.0 and 0.0 < spec.node_constant < np.inf):
+        raise ConfigError("budget_fraction must lie in (0, 1], node_constant be positive and finite")
     if spec.problem == "lidar":
         try:
             spec.lidar = LidarConfig(alpha=spec.alpha, sigma2_noise=spec.sigma2_noise,

@@ -1,0 +1,80 @@
+"""Column-blocked Grams and norms, the symmetric eigendecomposition and its cut.
+
+The reductions of an N x n node-space matrix to a small Gram or to its
+per-column norms run here, COLUMN_BLOCK columns at a time, so no scaled
+n-column copy is allocated.  Every small symmetric eigendecomposition
+goes through ``sym_eigh`` and every truncation of its eigenvalues
+through ``cut_mask``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .exceptions import NumericalFailure
+
+__all__ = ["column_gram", "column_sq_norms", "sym_eigh", "cut_mask"]
+
+# Columns per block of the column passes.
+COLUMN_BLOCK = 8192
+
+# Relative cuts for ``cut_mask``.  The posterior spectrum drops eigenvalues
+# at or below 1e-12 of its largest, which keeps lam/(alpha + lam)
+# well-defined; the QP's Hessian core, PSD but usually rank deficient,
+# drops those at or below 1e-10.  The input Gram of N_in rows drops those
+# at or below N_in * eps of its largest, round-off of a rank-deficient
+# Gram, so its cut is GRAM_CUT_PER_ROW times its size.
+SPECTRUM_CUT = 1e-12
+HESSIAN_CUT = 1e-10
+GRAM_CUT_PER_ROW = np.finfo(float).eps
+
+
+def column_gram(mat: np.ndarray, root: np.ndarray | None = None) -> np.ndarray:
+    """S S^T for S = mat diag(root), summed over COLUMN_BLOCK-column blocks
+    so no scaled copy of ``mat`` is allocated; symmetric to the last bit."""
+    n_rows, n = mat.shape
+    gram = np.zeros((n_rows, n_rows))
+    for j in range(0, n, COLUMN_BLOCK):
+        block = mat[:, j : j + COLUMN_BLOCK]
+        if root is not None:
+            block = block * root[j : j + COLUMN_BLOCK]
+        gram += block @ block.T
+    return 0.5 * (gram + gram.T)
+
+
+def column_sq_norms(left: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """||left @ mat[:, j]||^2 for every column j, over COLUMN_BLOCK-column blocks."""
+    n = mat.shape[1]
+    out = np.empty(n)
+    for j in range(0, n, COLUMN_BLOCK):
+        sc = left @ mat[:, j : j + COLUMN_BLOCK]
+        out[j : j + COLUMN_BLOCK] = np.einsum("ij,ij->j", sc, sc)
+    return out
+
+
+def sym_eigh(mat: np.ndarray, what: str):
+    """Eigenvalues (descending) and eigenvectors of the symmetric part of
+    ``mat``; NumericalFailure, naming ``what``, if it is not finite or
+    the eigensolver fails."""
+    mat = 0.5 * (mat + mat.T)
+    # eigh may return NaNs for a NaN entry, which every cut would drop
+    if not np.all(np.isfinite(mat)):
+        raise NumericalFailure(f"{what} is not finite", {"size": mat.shape[0]})
+    try:
+        lam, vec = np.linalg.eigh(mat)
+    except np.linalg.LinAlgError as err:
+        raise NumericalFailure(
+            f"eigendecomposition of the {what} failed",
+            {"size": mat.shape[0], "fro_norm": float(np.linalg.norm(mat))},
+        ) from err
+    return lam[::-1], vec[:, ::-1]
+
+
+def cut_mask(lam: np.ndarray, rel: float) -> np.ndarray:
+    """Eigenvalues kept: those above rel * max(lam), none when max(lam) <= 0.
+
+    Works in either sort order."""
+    top = lam.max() if lam.size else 0.0
+    if not top > 0.0:
+        return np.zeros(lam.shape, dtype=bool)
+    return lam > rel * top

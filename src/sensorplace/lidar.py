@@ -27,6 +27,7 @@ times, one design weight per sector.
 from __future__ import annotations
 
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -83,14 +84,16 @@ class LidarConfig:
     sigma2_noise: float = 1.0
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
+        if not 0.0 < self.mu < math.inf:
+            raise ValueError("mu must be positive and finite")
         if min(self.n_t, self.p, self.n_d, self.n_r, self.n_x) < 1:
             raise ValueError("all counts must be >= 1")
         if not (0.0 < self.r <= 1.0):
             raise ValueError("r must lie in (0, 1]")
-        if self.alpha <= 0 or self.horizon <= 0:
-            raise ValueError("alpha and horizon must be positive")
+        if not (0.0 < self.alpha < math.inf and 0.0 < self.horizon < math.inf):
+            raise ValueError("alpha and horizon must be positive and finite")
+        if not (math.isfinite(self.c1) and math.isfinite(self.c2)):
+            raise ValueError("c1 and c2 must be finite")
 
     @property
     def budget(self) -> int:

@@ -25,13 +25,15 @@ times along one beam).  Groups are contiguous runs of rows, numbered
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import LowRankKernel, column_gram
+from .chebyshev import LowRankKernel
 from .exceptions import NumericalFailure
-from .qp_solver import CORE_BLOCK, LowRankHessian
+from .gram import SPECTRUM_CUT, column_gram, column_sq_norms, cut_mask, sym_eigh
+from .qp_solver import LowRankHessian
 
 __all__ = [
     "DesignWeights",
@@ -41,16 +43,10 @@ __all__ = [
     "shared_engine",
     "dense_objective_value",
     "dense_objective_and_derivatives",
-    "group_reduce",
-    "group_reduce_matrix",
     "DEFAULT_ORACLE_CAP",
 ]
 
 DEFAULT_ORACLE_CAP = 2000
-
-# Eigenvalues below this fraction of the largest are dropped from the
-# posterior spectrum; keeps lam/(alpha + lam) well-defined.
-SPECTRUM_TRUNCATION = 1e-12
 
 # Solver round-off can push weights slightly negative; anything beyond
 # this is a real constraint violation.
@@ -107,33 +103,20 @@ class DesignWeights:
 class BayesSetup:
     """Noise/prior constants and criterion choice.
 
-    ``alpha`` is sigma2_noise / sigma2_prior.  ``time_precision`` is the
-    per-location inverse noise covariance in time (SPD, defaults to the
-    identity); it is folded in by pre-whitening rows with its Cholesky
-    factor.
+    ``alpha`` is sigma2_noise / sigma2_prior.
     """
 
     alpha: float
     sigma2_noise: float = 1.0
     criterion: str = "A"
-    time_precision: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.sigma2_noise <= 0:
-            raise ValueError("sigma2_noise must be positive")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
+        if not 0.0 < self.sigma2_noise < math.inf:
+            raise ValueError("sigma2_noise must be positive and finite")
         if self.criterion not in ("A", "D"):
             raise ValueError("criterion must be 'A' or 'D'")
-        if self.time_precision is not None:
-            p = np.asarray(self.time_precision, dtype=float)
-            if p.ndim != 2 or p.shape[0] != p.shape[1]:
-                raise ValueError("time_precision must be square")
-            if not np.allclose(p, p.T, atol=1e-12):
-                raise ValueError("time_precision must be symmetric")
-            if np.linalg.eigvalsh(p).min() <= 0:
-                raise ValueError("time_precision must be positive definite")
-            object.__setattr__(self, "time_precision", p)
 
 
 @dataclass(frozen=True)
@@ -167,25 +150,6 @@ def _check_groups(row_group: np.ndarray, n_groups: int) -> np.ndarray:
     return np.flatnonzero(steps)
 
 
-def _whiten_rows(coef_or_matrix: np.ndarray, time_precision: np.ndarray, rows_axis: int):
-    """Scale each location block by the Cholesky factor of the precision."""
-    p = time_precision
-    n_t = p.shape[0]
-    chol = np.linalg.cholesky(p)
-    if rows_axis == 1:  # (N, n_rows) coefficient layout
-        n_out, n_rows = coef_or_matrix.shape
-        if n_rows % n_t:
-            raise ValueError("row count is not a multiple of the time block size")
-        blocks = coef_or_matrix.reshape(n_out, n_rows // n_t, n_t)
-        return (blocks @ chol).reshape(n_out, n_rows)
-    n_rows, m = coef_or_matrix.shape
-    if n_rows % n_t:
-        raise ValueError("row count is not a multiple of the time block size")
-    blocks = coef_or_matrix.reshape(n_rows // n_t, n_t, m)
-    out = np.einsum("st,lsm->ltm", chol, blocks)
-    return out.reshape(n_rows, m)
-
-
 class PosteriorEngine:
     """Repeated-evaluation workhorse for one surrogate kernel.
 
@@ -215,10 +179,7 @@ class PosteriorEngine:
     def __init__(self, lowrank: LowRankKernel, setup: BayesSetup, row_group=None):
         self.setup = setup
         self._last = None  # (w, lam, vec) of the last core eigendecomposition
-        coef_rows = lowrank.coef_out
-        if setup.time_precision is not None:
-            coef_rows = _whiten_rows(coef_rows, setup.time_precision, rows_axis=1)
-        self.coef_rows = coef_rows
+        self.coef_rows = coef_rows = lowrank.coef_out
         self.n_ambient = lowrank.n_cols
         self.r_factor = lowrank.input_r  # (r1, N_out)
         # a NaN in node_values would otherwise surface only at the first
@@ -254,16 +215,7 @@ class PosteriorEngine:
         if self._last is not None and np.array_equal(self._last[0], w):
             return self._last[1], self._last[2]
         g = self.weighted_gram(w)
-        k = self.r_factor @ g @ self.r_factor.T
-        k = 0.5 * (k + k.T)
-        try:
-            lam, vec = np.linalg.eigh(k)
-        except np.linalg.LinAlgError as err:
-            raise NumericalFailure(
-                "eigendecomposition of the posterior core failed",
-                {"size": k.shape[0], "fro_norm": float(np.linalg.norm(k))},
-            ) from err
-        lam, vec = lam[::-1], vec[:, ::-1]
+        lam, vec = sym_eigh(self.r_factor @ g @ self.r_factor.T, "posterior core")
         self._last = (w.copy(), lam, vec)
         return lam, vec
 
@@ -303,12 +255,7 @@ class PosteriorEngine:
         else:
             d, md, g_scale, h_scale = d1, m1, 1.0, 1.0
         if self.group_grams is None:
-            dt = d[:, None] * t
-            gradient = np.empty(self.n_weights)
-            for j in range(0, self.n_weights, CORE_BLOCK):
-                sc = dt @ self.coef_rows[:, j : j + CORE_BLOCK]
-                gradient[j : j + CORE_BLOCK] = np.einsum("ij,ij->j", sc, sc)
-            gradient *= -g_scale
+            gradient = -g_scale * column_sq_norms(d[:, None] * t, self.coef_rows)
             hessian = LowRankHessian(self.coef_rows, h_scale * (m1 * md))
         else:
             ghat = t @ self.group_grams @ t.T  # (n_weights, r1, r1)
@@ -318,36 +265,17 @@ class PosteriorEngine:
         return value, InterpolatedDerivatives(m1, m2, hessian, gradient)
 
 
-def _same_array(a, b) -> bool:
-    if a is None or b is None:
-        return a is b
-    return np.array_equal(a, b)
-
-
-def _same_setup(a: BayesSetup, b: BayesSetup) -> bool:
-    return (
-        a.alpha == b.alpha
-        and a.sigma2_noise == b.sigma2_noise
-        and a.criterion == b.criterion
-        and _same_array(a.time_precision, b.time_precision)
-    )
-
-
 def shared_engine(lowrank: LowRankKernel, setup: BayesSetup, row_group=None) -> PosteriorEngine:
     """The surrogate's engine for this setup and grouping.
 
     The last engine built is kept on the surrogate, next to its cached
-    ``input_r``, and reused while every setup field (``time_precision``
-    included) and the grouping are equal; otherwise a new engine
-    replaces it.  SQP and the integrality gap of one design thus share
-    one engine and its last-point cache.
+    ``input_r``, and reused while the setup and the grouping are equal;
+    otherwise a new engine replaces it.  SQP and the integrality gap of
+    one design thus share one engine and its last-point cache.
     """
     engine = vars(lowrank).get("_engine")
-    if (
-        engine is None
-        or not _same_setup(engine.setup, setup)
-        or not _same_array(engine.row_group, row_group)
-    ):
+    # array_equal takes None as equal to None only
+    if engine is None or engine.setup != setup or not np.array_equal(engine.row_group, row_group):
         engine = PosteriorEngine(lowrank, setup, row_group)
         vars(lowrank)["_engine"] = engine
     return engine
@@ -355,10 +283,7 @@ def shared_engine(lowrank: LowRankKernel, setup: BayesSetup, row_group=None) -> 
 
 def _truncate(lam: np.ndarray) -> np.ndarray:
     lam = np.clip(lam, 0.0, None)
-    if lam.size == 0 or lam[0] <= 0.0:
-        return lam[:0]
-    keep = lam > SPECTRUM_TRUNCATION * lam[0]
-    return lam[keep]
+    return lam[cut_mask(lam, SPECTRUM_CUT)]
 
 
 def _value_from_eigs(lam: np.ndarray, setup: BayesSetup, n: int) -> float:
@@ -377,8 +302,6 @@ def _value_from_eigs(lam: np.ndarray, setup: BayesSetup, n: int) -> float:
 def dense_objective_value(f_matrix: np.ndarray, weights: DesignWeights, setup: BayesSetup) -> float:
     """Exact criterion value from a dense kernel matrix."""
     f = np.asarray(f_matrix, dtype=float)
-    if setup.time_precision is not None:
-        f = _whiten_rows(f, setup.time_precision, rows_axis=0)
     v = np.clip(weights.row_weights(), 0.0, None)
     root = np.sqrt(v)[:, None] * f
     gram = root.T @ root
@@ -407,8 +330,6 @@ def dense_objective_and_derivatives(
     f = np.asarray(f_matrix, dtype=float)
     if max(f.shape) > oracle_cap:
         raise ValueError(f"oracle refuses matrices beyond {oracle_cap} rows/cols")
-    if setup.time_precision is not None:
-        f = _whiten_rows(f, setup.time_precision, rows_axis=0)
     v = np.clip(weights.row_weights(), 0.0, None)
     if v.size != f.shape[0]:
         raise ValueError("weights do not match the row count")
@@ -427,30 +348,9 @@ def dense_objective_and_derivatives(
     else:
         g_rows = -np.diag(m1)
         h_rows = m1 * m1
-    gradient = group_reduce(g_rows, weights.row_group, weights.n_weights)
-    hessian = group_reduce_matrix(h_rows, weights.row_group, weights.n_weights)
+    if weights.row_group is None:
+        return value, g_rows, h_rows
+    starts = _check_groups(weights.row_group, weights.n_weights)
+    gradient = np.add.reduceat(g_rows, starts)
+    hessian = np.add.reduceat(np.add.reduceat(h_rows, starts, axis=0), starts, axis=1)
     return value, gradient, hessian
-
-
-def group_reduce(values: np.ndarray, row_group: np.ndarray | None, n_groups: int | None = None) -> np.ndarray:
-    """Sum per-row values (along the first axis) into per-group entries.
-
-    With ``row_group`` None this is the identity.  Groups must be
-    contiguous runs of rows numbered 0..n_groups-1 in row order.
-    """
-    values = np.asarray(values, dtype=float)
-    if row_group is None:
-        return values.copy()
-    row_group = np.asarray(row_group, dtype=int)
-    if n_groups is None:
-        n_groups = int(row_group.max()) + 1
-    starts = _check_groups(row_group, n_groups)
-    if row_group.size != values.shape[0]:
-        raise ValueError("row_group does not match the value count")
-    return np.add.reduceat(values, starts)
-
-
-def group_reduce_matrix(matrix: np.ndarray, row_group: np.ndarray | None, n_groups: int | None = None) -> np.ndarray:
-    """Sum a per-row-pair matrix into per-group blocks (both axes)."""
-    rows = group_reduce(matrix, row_group, n_groups)
-    return group_reduce(rows.T, row_group, n_groups).T

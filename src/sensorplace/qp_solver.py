@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NonconvergenceError, NumericalFailure
+from .gram import HESSIAN_CUT, column_gram, cut_mask, sym_eigh
 
 __all__ = [
     "LowRankHessian",
@@ -44,10 +45,6 @@ __all__ = [
     "starting_point",
     "solve_qp",
 ]
-
-# Eigenvalues of Htilde below this fraction of the largest are dropped
-# before inverting (it is PSD but usually rank deficient).
-CORE_TRUNCATION = 1e-10
 
 # Slack/multiplier ratios are floored here before inversion; the
 # fraction-to-boundary rule keeps iterates away from this in practice.
@@ -61,10 +58,6 @@ PSD_SLACK = 1e-10
 # tolerance: pushing mu far past tol leaves the Woodbury solve too few
 # digits to close the dual residual.
 CENTERING_FLOOR = 0.1
-
-# Columns per block when forming the Woodbury core, so no r x n scaled
-# copy of W is allocated on each iteration.
-CORE_BLOCK = 8192
 
 # Fraction of the largest step to the boundary that an iterate takes.
 BOUNDARY_FACTOR = 0.995
@@ -185,8 +178,10 @@ class NormalMatrixAction:
         self._dinv = 1.0 / self.diag
         self._small_chol = None
         if self._wrows.shape[0]:
+            # the Woodbury core I + W D^{-1} W^T
+            core = np.eye(self._wrows.shape[0]) + column_gram(self._wrows, np.sqrt(self._dinv))
             try:
-                self._small_chol = np.linalg.cholesky(_woodbury_core(self._wrows, self._dinv))
+                self._small_chol = np.linalg.cholesky(core)
             except np.linalg.LinAlgError as err:
                 raise NumericalFailure(
                     "inner Woodbury system is singular",
@@ -226,29 +221,14 @@ class NormalMatrixAction:
         return x
 
 
-def _woodbury_core(wrows: np.ndarray, dinv: np.ndarray) -> np.ndarray:
-    """I + W D^{-1} W^T, summed over column blocks of W D^{-1/2}."""
-    r, n = wrows.shape
-    core = np.eye(r)
-    root = np.sqrt(dinv)
-    for j in range(0, n, CORE_BLOCK):
-        ws = wrows[:, j : j + CORE_BLOCK] * root[j : j + CORE_BLOCK]
-        core += ws @ ws.T
-    return core
-
-
 def truncated_core(core: np.ndarray):
-    """Eigendecomposition of the PSD core (ValueError if it is not),
-    keeping values above threshold."""
-    core = 0.5 * (core + core.T)
-    lam, vec = np.linalg.eigh(core)
-    if lam.size and lam[0] < -PSD_SLACK * max(lam[-1], 1e-30):
+    """Eigendecomposition of the PSD core, keeping values above the
+    HESSIAN_CUT; ValueError if it is not PSD, NumericalFailure if it is
+    not finite."""
+    lam, vec = sym_eigh(core, "Hessian core")
+    if lam.size and lam[-1] < -PSD_SLACK * max(lam[0], 1e-30):
         raise ValueError("Hessian is not positive semi-definite")
-    lam = lam[::-1]
-    vec = vec[:, ::-1]
-    if lam.size == 0 or lam[0] <= 0.0:
-        return lam[:0], vec[:, :0]
-    keep = lam > CORE_TRUNCATION * lam[0]
+    keep = cut_mask(lam, HESSIAN_CUT)
     return lam[keep], vec[:, keep]
 
 

@@ -14,6 +14,7 @@ falls below ``epsilon``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,8 +52,8 @@ class SqpConfig:
     max_outer: int = 200
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
 
 
 @dataclass

@@ -202,6 +202,21 @@ class TestExitCodes:
         assert main(["--command", "design", "--config", cfg, "--out", str(out)]) == 2
         assert not (out / "summary.json").exists()
 
+    # nan passes a plain `x <= 0` rejection test
+    @pytest.mark.parametrize("base, line", [
+        (TINY_ANALYTIC, "alpha = nan"),
+        (TINY_ANALYTIC, "epsilon = nan"),
+        (TINY_ANALYTIC, "sigma2_noise = inf"),
+        (TINY_ANALYTIC, "budget_fraction = nan"),
+        (TINY_ANALYTIC, "node_constant = nan"),
+        (TINY_LIDAR, "mu = nan"),
+    ])
+    def test_non_finite_setting_is_2(self, tmp_path, base, line):
+        cfg = write_config(tmp_path, base + line + "\n")
+        out = tmp_path / "bad"
+        assert main(["--command", "design", "--config", cfg, "--out", str(out)]) == 2
+        assert not (out / "summary.json").exists()
+
     def test_solver_failure_is_3(self, tmp_path, monkeypatch):
         import sensorplace.cli as cli_module
 

@@ -38,6 +38,11 @@ class TestConfig:
             LidarConfig(r=0.0)
         with pytest.raises(ValueError):
             LidarConfig(p=0)
+        # nan passes a plain `x <= 0` rejection test
+        for bad in ({"mu": np.nan}, {"alpha": np.nan}, {"horizon": np.nan}, {"alpha": np.inf},
+                    {"c1": np.nan}):
+            with pytest.raises(ValueError):
+                LidarConfig(**bad)
 
 
 class TestModeTable:

@@ -17,14 +17,12 @@ from sensorplace import (
     dense_objective_and_derivatives,
     dense_objective_value,
     gaussian_difference_kernel,
-    group_reduce,
-    group_reduce_matrix,
     integrality_gap,
     shared_engine,
     solve_relaxed,
     sum_up_round,
 )
-from sensorplace.qp_solver import CORE_BLOCK
+from sensorplace.gram import COLUMN_BLOCK
 from oracles import dense_value_direct, dense_value_fn, finite_difference_gradient
 
 
@@ -41,6 +39,14 @@ def feasible_weights(rng, n, budget_fraction=0.4):
     if w.sum() > budget:
         w *= budget / w.sum()
     return DesignWeights(w, budget)
+
+
+class TestBayesSetup:
+    @pytest.mark.parametrize("bad", [{"alpha": 0.0}, {"alpha": np.nan}, {"alpha": np.inf},
+                                     {"sigma2_noise": np.nan}, {"criterion": "E"}])
+    def test_rejects_invalid_settings(self, bad):
+        with pytest.raises(ValueError):
+            BayesSetup(**{"alpha": 1.0, **bad})
 
 
 class TestDesignWeights:
@@ -260,40 +266,6 @@ class TestDenseObjectiveAndDerivatives:
         _, grad_rows, _ = dense_objective_and_derivatives(f, perrow, setup)
         assert_allclose(grad_grouped, [grad_rows[:3].sum(), grad_rows[3:].sum()], rtol=1e-12)
 
-    def test_time_precision_prewhitening(self, rng):
-        n_loc, n_t, m = 3, 2, 6
-        f = rng.normal(size=(n_loc * n_t, m))
-        p = np.array([[2.0, 0.3], [0.3, 1.0]])
-        w = np.array([0.4, 0.9, 0.1])
-        row_group = np.repeat(np.arange(n_loc), n_t)
-        setup = BayesSetup(alpha=0.8, criterion="A", time_precision=p)
-        value = dense_objective_value(f, DesignWeights(w, 3.0, row_group=row_group), setup)
-        # direct: sum_k w_k F_k^T P F_k + alpha I
-        gram = 0.8 * np.eye(m)
-        for k in range(n_loc):
-            fk = f[k * n_t : (k + 1) * n_t]
-            gram += w[k] * fk.T @ p @ fk
-        assert value == pytest.approx(np.trace(np.linalg.inv(gram)), rel=1e-10)
-
-    def test_time_precision_surrogate_matches_dense(self, rng):
-        # correlated-in-time noise folded into the spectral route equals the
-        # dense route on the materialized surrogate matrix
-        n_loc, n_t, n_nodes, m = 6, 2, 5, 12
-        lowrank = LowRankKernel(
-            rng.normal(size=(n_nodes, n_loc * n_t)),
-            rng.normal(size=(n_nodes, n_nodes)),
-            rng.normal(size=(n_nodes, m)),
-        )
-        p = np.array([[1.5, -0.4], [-0.4, 0.9]])
-        row_group = np.repeat(np.arange(n_loc), n_t)
-        w = rng.uniform(0.1, 0.9, n_loc)
-        weights = DesignWeights(w, float(n_loc), row_group=row_group)
-        setup = BayesSetup(alpha=0.3, criterion="A", time_precision=p)
-        engine = PosteriorEngine(lowrank, setup, row_group)
-        assert engine.value(w) == pytest.approx(
-            dense_objective_value(lowrank.dense(), weights, setup), rel=1e-10
-        )
-
 
 class TestSharedEngine:
     def interval_problem(self, kernel=None):
@@ -325,22 +297,22 @@ class TestSharedEngine:
     def test_changed_setup_gets_a_fresh_engine(self, rng):
         lowrank = LowRankKernel(rng.normal(size=(5, 24)), rng.normal(size=(5, 5)),
                                 rng.normal(size=(5, 24)))
-        p = np.array([[1.5, -0.4], [-0.4, 0.9]])
-        base = BayesSetup(alpha=1.0, time_precision=p)
+        base = BayesSetup(alpha=1.0)
         variants = [
-            (BayesSetup(alpha=0.5, time_precision=p), None),
-            (BayesSetup(alpha=1.0, criterion="D", time_precision=p), None),
-            (BayesSetup(alpha=1.0, time_precision=2.0 * p), None),
-            (BayesSetup(alpha=1.0), None),
+            (BayesSetup(alpha=0.5), None),
+            (BayesSetup(alpha=1.0, criterion="D"), None),
+            (BayesSetup(alpha=1.0, sigma2_noise=2.0), None),
             (base, np.repeat(np.arange(12), 2)),
         ]
         w = rng.uniform(0.1, 0.9, 24)
         for setup, row_group in variants:
             first = shared_engine(lowrank, base)
-            assert shared_engine(lowrank, BayesSetup(alpha=1.0, time_precision=p.copy())) is first
+            assert shared_engine(lowrank, BayesSetup(alpha=1.0)) is first
             first.value(w)
             engine = shared_engine(lowrank, setup, row_group)
             assert engine is not first
+            same_groups = None if row_group is None else row_group.copy()
+            assert shared_engine(lowrank, BayesSetup(**vars(setup)), same_groups) is engine
             x = w if row_group is None else w[::2]
             assert engine.value(x) == PosteriorEngine(lowrank, setup, row_group).value(x)
 
@@ -355,7 +327,7 @@ class TestSharedEngine:
 
     @pytest.mark.parametrize("criterion", ["A", "D"])
     def test_blocked_gram_and_gradient_match_unblocked(self, rng, criterion):
-        n = 2 * CORE_BLOCK + 17  # a ragged last block
+        n = 2 * COLUMN_BLOCK + 17  # a ragged last block
         lowrank = random_lowrank(rng, n=n, n_nodes=9)
         setup = BayesSetup(alpha=0.4, sigma2_noise=1.7, criterion=criterion)
         engine = PosteriorEngine(lowrank, setup)
@@ -371,23 +343,22 @@ class TestSharedEngine:
 
 
 class TestGroupReduce:
-    def test_singletons_identity(self):
-        vals = np.array([1.0, 2.0, 3.0])
-        assert_allclose(group_reduce(vals, np.arange(3)), vals)
-
-    def test_single_group_total(self):
-        assert group_reduce(np.array([1.0, 2.0, 3.0]), np.zeros(3, dtype=int))[0] == 6.0
-
-    def test_matrix_blocks(self):
-        m = np.arange(16.0).reshape(4, 4)
-        row_group = np.array([0, 0, 1, 1])
-        reduced = group_reduce_matrix(m, row_group)
-        assert_allclose(reduced, [[m[:2, :2].sum(), m[:2, 2:].sum()],
-                                  [m[2:, :2].sum(), m[2:, 2:].sum()]])
-
-    def test_non_partition_rejected(self):
-        with pytest.raises(ValueError):
-            group_reduce(np.ones(3), np.array([0, 2, 2]))  # group 1 empty
+    def test_matrix_blocks(self, rng):
+        # the grouped oracle's gradient and Hessian are the block sums of
+        # the per-row ones at the same row weights: singleton groups, one
+        # group, and unequal runs
+        f = rng.normal(size=(7, 5))
+        setup = BayesSetup(alpha=0.6, sigma2_noise=1.3)
+        for row_group in (np.arange(7), np.zeros(7, dtype=int), np.repeat(np.arange(3), [3, 1, 3])):
+            n_w = row_group.max() + 1
+            w = rng.uniform(0.1, 0.9, n_w)
+            grouped = DesignWeights(w, float(n_w), row_group=row_group)
+            _, grad, hess = dense_objective_and_derivatives(f, grouped, setup)
+            per_row = DesignWeights(w[row_group], 7.0)
+            _, grad_rows, hess_rows = dense_objective_and_derivatives(f, per_row, setup)
+            blocks = (row_group == np.arange(n_w)[:, None]).astype(float)
+            assert_allclose(grad, blocks @ grad_rows, rtol=1e-12)
+            assert_allclose(hess, blocks @ hess_rows @ blocks.T, rtol=1e-12)
 
     # interleaved, numbered out of row order, skipping group 1, negative
     @pytest.mark.parametrize(
@@ -400,8 +371,6 @@ class TestGroupReduce:
             DesignWeights(np.full(n_w, 0.5), float(n_w), row_group=row_group)
         with pytest.raises(ValueError):
             PosteriorEngine(random_lowrank(rng, n=4, n_nodes=3), BayesSetup(alpha=1.0), row_group)
-        with pytest.raises(ValueError):
-            group_reduce(np.ones(4), row_group)
 
 
 class TestGroupedEngine:
@@ -421,21 +390,20 @@ class TestGroupedEngine:
 
     @staticmethod
     def grouped_cases(rng):
-        """(lowrank, row_group, time_precision): unequal groups, a tiny
-        LIDAR problem, and two-time groups with an SPD time precision."""
+        """(lowrank, row_group): unequal groups, a tiny LIDAR problem, and
+        two-time groups."""
         row_group = TestGroupedEngine.ROW_GROUP
-        yield random_lowrank(rng, n=row_group.size, n_nodes=7), row_group, None
+        yield random_lowrank(rng, n=row_group.size, n_nodes=7), row_group
         prob = build_lidar_problem(LidarConfig(n_d=8, n_r=3, n_x=6, n_t=2), 4.0)
-        yield prob.lowrank, prob.row_group, None
+        yield prob.lowrank, prob.row_group
         pair_group = np.repeat(np.arange(6), 2)
-        p = np.array([[1.5, -0.4], [-0.4, 0.9]])
-        yield random_lowrank(rng, n=pair_group.size, n_nodes=7), pair_group, p
+        yield random_lowrank(rng, n=pair_group.size, n_nodes=7), pair_group
 
     @pytest.mark.parametrize("criterion", ["A", "D"])
     def test_exact_derivatives_match_dense_oracle(self, rng, criterion):
-        for lowrank, row_group, p in self.grouped_cases(rng):
+        for lowrank, row_group in self.grouped_cases(rng):
             n_w = int(row_group.max()) + 1
-            setup = BayesSetup(alpha=0.4, sigma2_noise=1.3, criterion=criterion, time_precision=p)
+            setup = BayesSetup(alpha=0.4, sigma2_noise=1.3, criterion=criterion)
             w = rng.uniform(0.1, 0.9, n_w)
             _, deriv = PosteriorEngine(lowrank, setup, row_group).derivatives(w)
             weights = DesignWeights(w, float(n_w), row_group=row_group)

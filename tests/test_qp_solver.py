@@ -14,7 +14,7 @@ from sensorplace import (
     solve_qp,
     starting_point,
 )
-from sensorplace.qp_solver import NormalMatrixAction
+from sensorplace.qp_solver import NormalMatrixAction, truncated_core
 from oracles import enumerate_box_budget_qp
 
 
@@ -258,6 +258,13 @@ class TestErrors:
         hess = -np.eye(n)
         with pytest.raises(ValueError):
             solve_qp(QpProblem(np.ones(n), hess, np.zeros(n), np.ones(n), 2.0))
+
+    # eigh may return NaN eigenvalues, which the cut would drop and leave
+    # H = 0, or raise a bare LinAlgError
+    @pytest.mark.parametrize("core", [[[1.0, np.nan], [np.nan, 1.0]], np.full((3, 3), np.nan)])
+    def test_non_finite_core_rejected(self, core):
+        with pytest.raises(NumericalFailure, match="Hessian core is not finite"):
+            truncated_core(np.array(core))
 
     def test_nonconvergence_carries_residuals(self, rng):
         prob = random_problem(rng, 8)

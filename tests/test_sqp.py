@@ -181,9 +181,25 @@ class TestSolveRelaxed:
         assert "not finite at iteration 16" in message
         assert info.value.diagnostics == diagnostics
 
+    def test_non_finite_hessian_names_outer_iteration(self, monkeypatch):
+        real = sqp_module.dense_objective_and_derivatives
+
+        def nan_hessian(*args, **kwargs):
+            value, grad, hess = real(*args, **kwargs)
+            hess[0, 1] = hess[1, 0] = np.nan
+            return value, grad, hess
+
+        monkeypatch.setattr(sqp_module, "dense_objective_and_derivatives", nan_hessian)
+        mesh, f, _ = interval_problem(15)
+        with pytest.raises(NumericalFailure) as info:
+            solve_relaxed(f, BayesSetup(alpha=1.0), 4.0)
+        assert "outer iteration 0" in str(info.value)
+        assert "Hessian core is not finite" in str(info.value)
+
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SqpConfig(epsilon=0.0)
+        for epsilon in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                SqpConfig(epsilon=epsilon)
 
 
 class TestThinBudgetSlack:
