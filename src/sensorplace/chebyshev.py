@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .domains import Kernel, MeshedDomain
-from .gram import GRAM_CUT_PER_ROW, column_gram, cut_mask, sym_eigh
+from .gram import FACTOR_CUT, GRAM_CUT_PER_ROW, column_gram, cut_mask, sym_eigh, thin_svd
 
 __all__ = [
     "Grid1D",
@@ -153,22 +153,24 @@ class LowRankKernel:
 
     @cached_property
     def input_r(self) -> np.ndarray:
-        """A factor R with R^T R = B^T B for the input factor
-        B = coef_in^T node_values^T.
+        """A factor R~ with R~^T R~ = B^T B for the input factor
+        B = coef_in^T node_values^T, cut to its numerical rank.
 
         R = R1 node_values^T with R1 = diag(sqrt(lam)) V^T from the
         eigendecomposition V diag(lam) V^T of the N_in x N_in Gram
         coef_in coef_in^T, formed over column blocks, so neither B nor a
-        copy of coef_in is made.  Eigenvalues at or below N_in * eps *
-        lam_max are round-off of a rank-deficient Gram and are dropped;
-        R is (min(n_cols, N_in), N_out).
+        copy of coef_in is made; eigenvalues at or below N_in * eps *
+        lam_max are round-off of a rank-deficient Gram and are dropped.
+        With the thin SVD R = U diag(s) W^T, R~ = diag(s) W^T keeps the
+        rho singular values above FACTOR_CUT * s_max, so R~ is
+        (rho, N_out) and R~^T R~ = R^T R up to s_(rho+1)^2.
         """
         lam, vec = sym_eigh(column_gram(self.coef_in), "Gram of the input coefficients")
-        # R's rows by ascending lam: any order is valid, this one fixes the round-off
-        lam, vec = lam[::-1], vec[:, ::-1]
         keep = cut_mask(lam, lam.size * GRAM_CUT_PER_ROW)
         r1 = np.sqrt(lam[keep])[:, None] * vec[:, keep].T
-        return r1 @ self.node_values.T
+        s, wt = thin_svd(r1 @ self.node_values.T, "factor R of the input factor")
+        keep = cut_mask(s, FACTOR_CUT)
+        return s[keep, None] * wt[keep]
 
     def dense(self) -> np.ndarray:
         """Materialize F_s (for oracles and small problems only)."""

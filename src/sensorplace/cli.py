@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field, fields as dataclass_fields
@@ -125,7 +126,7 @@ def build_runspec(entries: dict, overrides: dict) -> RunSpec:
     lidar_kwargs = {}
     for key, value in merged.items():
         if key in ("sizes", "constants"):
-            setattr(spec, key, value if isinstance(value, list) else _parse_list(value))
+            setattr(spec, key, _parse_list(key, value))
             continue
         parse = _SPEC_TYPES.get(key) or _LIDAR_TYPES.get(key)
         if parse is None:
@@ -160,11 +161,19 @@ def build_runspec(entries: dict, overrides: dict) -> RunSpec:
     return spec
 
 
-def _parse_list(text):
-    items = [t for t in str(text).replace(",", " ").split() if t]
+def _parse_list(key, text):
+    """Comma/space separated ``sizes`` (positive integers) or ``constants``
+    (positive and finite, like node_constant)."""
+    parse = int if key == "sizes" else float
     out = []
-    for item in items:
-        out.append(float(item) if ("." in item or "e" in item.lower()) else int(item))
+    for item in str(text).replace(",", " ").split():
+        try:
+            value = parse(item)
+        except ValueError as err:
+            raise ConfigError(f"bad entry for {key}: {item}") from err
+        if not 0 < value < math.inf:
+            raise ConfigError(f"{key} entries must be positive and finite, got {item}")
+        out.append(value)
     return out
 
 
@@ -302,10 +311,10 @@ def cmd_oracle(spec: RunSpec) -> dict:
 
 
 def cmd_gap_sweep(spec: RunSpec) -> dict:
-    sizes = [int(s) for s in (spec.sizes or [spec.n])]
+    sizes = spec.sizes or [spec.n]
     if sorted(sizes) != sizes:
         raise ConfigError("sizes must be ascending")
-    constants = [float(c) for c in (spec.constants or [spec.node_constant])]
+    constants = spec.constants or [spec.node_constant]
     rows = []
     for n in sizes:
         for c in constants:
@@ -331,7 +340,7 @@ def cmd_gap_sweep(spec: RunSpec) -> dict:
 
 
 def cmd_lidar_sanity(spec: RunSpec) -> dict:
-    orders = [int(p) for p in (spec.sizes or [1, 2, 3, 5])]
+    orders = spec.sizes or [1, 2, 3, 5]
 
     def u0(x, y):
         return np.sin(np.pi * x) * np.sin(np.pi * y)
@@ -374,8 +383,8 @@ def main(argv=None) -> int:
             "command": args.command,
             "seed": args.seed,
             "out": args.out,
-            "sizes": _parse_list(args.sizes) if args.sizes else None,
-            "constants": _parse_list(args.constants) if args.constants else None,
+            "sizes": args.sizes,
+            "constants": args.constants,
         }
         spec = build_runspec(entries, overrides)
     except ConfigError as err:

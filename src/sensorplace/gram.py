@@ -1,10 +1,11 @@
-"""Column-blocked Grams and norms, the symmetric eigendecomposition and its cut.
+"""Column-blocked Grams and norms, the small decompositions and their cut.
 
 The reductions of an N x n node-space matrix to a small Gram or to its
 per-column norms run here, COLUMN_BLOCK columns at a time, so no scaled
 n-column copy is allocated.  Every small symmetric eigendecomposition
-goes through ``sym_eigh`` and every truncation of its eigenvalues
-through ``cut_mask``.
+goes through ``sym_eigh``, every small SVD through ``thin_svd``, and
+every truncation of their eigenvalues or singular values through
+``cut_mask``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 
 from .exceptions import NumericalFailure
 
-__all__ = ["column_gram", "column_sq_norms", "sym_eigh", "cut_mask"]
+__all__ = ["column_gram", "column_sq_norms", "sym_eigh", "thin_svd", "cut_mask"]
 
 # Columns per block of the column passes.
 COLUMN_BLOCK = 8192
@@ -23,10 +24,14 @@ COLUMN_BLOCK = 8192
 # well-defined; the QP's Hessian core, PSD but usually rank deficient,
 # drops those at or below 1e-10.  The input Gram of N_in rows drops those
 # at or below N_in * eps of its largest, round-off of a rank-deficient
-# Gram, so its cut is GRAM_CUT_PER_ROW times its size.
+# Gram, so its cut is GRAM_CUT_PER_ROW times its size.  The surrogate's
+# input factor drops singular values at or below FACTOR_CUT of its
+# largest; cut on the singular values themselves, since their squares,
+# the eigenvalues of its Gram, lose everything below about 3e-8 of it.
 SPECTRUM_CUT = 1e-12
 HESSIAN_CUT = 1e-10
 GRAM_CUT_PER_ROW = np.finfo(float).eps
+FACTOR_CUT = 1e-15
 
 
 def column_gram(mat: np.ndarray, root: np.ndarray | None = None) -> np.ndarray:
@@ -70,8 +75,25 @@ def sym_eigh(mat: np.ndarray, what: str):
     return lam[::-1], vec[:, ::-1]
 
 
+def thin_svd(mat: np.ndarray, what: str):
+    """Singular values (descending) and right singular vectors, as rows,
+    of the thin SVD of ``mat``; NumericalFailure, naming ``what``, if it
+    is not finite or the SVD fails."""
+    if not np.all(np.isfinite(mat)):
+        raise NumericalFailure(f"{what} is not finite", {"shape": mat.shape})
+    try:
+        _, s, vt = np.linalg.svd(mat, full_matrices=False)
+    except np.linalg.LinAlgError as err:
+        raise NumericalFailure(
+            f"SVD of the {what} failed",
+            {"shape": mat.shape, "fro_norm": float(np.linalg.norm(mat))},
+        ) from err
+    return s, vt
+
+
 def cut_mask(lam: np.ndarray, rel: float) -> np.ndarray:
-    """Eigenvalues kept: those above rel * max(lam), none when max(lam) <= 0.
+    """Eigenvalues (or singular values) kept: those above rel * max(lam),
+    none when max(lam) <= 0.
 
     Works in either sort order."""
     top = lam.max() if lam.size else 0.0

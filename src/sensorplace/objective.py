@@ -8,15 +8,16 @@ posterior covariance of the Bayesian linear inverse problem is
 with W = diag of the per-row weights.  The A-criterion is its trace, the
 D-criterion its log-determinant.  Each quantity has one route:
 ``PosteriorEngine`` evaluates the eigenvalues, value, gradient and
-Hessian through the low-rank surrogate F_s.  With R^T R = B^T B for the
-input factor B and F_s^T W F_s = B G B^T, all of them come from one
-eigendecomposition of the small core R G R^T.  Each design shape has one
-derivative route: ungrouped designs interpolate the gradient and
-Hessian from the node-space matrices M1, M2 (the paper's O(n log^2 n)
-route); grouped designs get the exact gradient and dense Hessian of the
-surrogate from the per-group Gram matrices.  The ``dense_*`` functions
-factor an explicit F and exist only as validation oracles on small
-problems.
+Hessian through the low-rank surrogate F_s.  With R~^T R~ = B^T B for
+the input factor B, R~ (rho x N_out) cut to B's numerical rank rho, and
+F_s^T W F_s = B G B^T, all of them come from one eigendecomposition of
+the rho x rho core R~ G R~^T.  Each design shape has one derivative
+route: ungrouped designs interpolate the gradient and Hessian from the
+node-space matrices M1, M2 (the paper's O(n log^2 n) route); grouped
+designs get the exact gradient and dense Hessian of the surrogate from
+the rho x rho per-group Gram matrices, at O(n_w^2 rho^2) per call.  The
+``dense_*`` functions factor an explicit F and exist only as validation
+oracles on small problems.
 
 Space-time designs attach one weight to a group of rows (all measurement
 times along one beam).  Groups are contiguous runs of rows, numbered
@@ -31,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebyshev import LowRankKernel
-from .exceptions import NumericalFailure
 from .gram import SPECTRUM_CUT, column_gram, column_sq_norms, cut_mask, sym_eigh
 from .qp_solver import LowRankHessian
 
@@ -153,22 +153,23 @@ def _check_groups(row_group: np.ndarray, n_groups: int) -> np.ndarray:
 class PosteriorEngine:
     """Repeated-evaluation workhorse for one surrogate kernel.
 
-    Keeps only a factor R (r1 x N, r1 <= N_in) with R^T R = B^T B for the
-    weight-independent input factor B = coef_in^T node_values^T, which the
-    surrogate computes once (``LowRankKernel.input_r``) for every engine
-    built on it.  With G = coef_out W coef_out^T, B G B^T = Q (R G R^T) Q^T
-    for some Q with orthonormal columns, so the nonzero spectrum of
-    F_s^T W F_s is that of the small core K = R G R^T and each evaluation
-    costs one r1 x r1 eigendecomposition.  With K = V diag(lam) V^T and
-    T = V^T R,
+    Keeps only a factor R~ (rho x N_out, rho the numerical rank of B)
+    with R~^T R~ = B^T B for the weight-independent input factor
+    B = coef_in^T node_values^T, which the surrogate computes once
+    (``LowRankKernel.input_r``) for every engine built on it.  With
+    G = coef_out W coef_out^T, B G B^T = Q (R~ G R~^T) Q^T for some Q with
+    orthonormal columns, so the nonzero spectrum of F_s^T W F_s is that of
+    the core K = R~ G R~^T and each evaluation costs one rho x rho
+    eigendecomposition.  With K = V diag(lam) V^T and T = V^T R~,
 
         M_k = B^T (F_s^T W F_s + alpha I)^(-k) B = T^T diag((alpha + lam)^(-k)) T,
 
-    where a truncated eigenvalue counts as 0.  With row groups, per-group
-    Gram matrices G_k are precomputed, G is their weighted sum, and the
-    gradient and Hessian are exact, from T G_k T^T; without groups G is
-    summed over column blocks and the derivatives are interpolated in
-    node space from M1 and M2.
+    where a truncated eigenvalue counts as 0.  With row groups, the
+    rho x rho group Grams R~ G_k R~^T are precomputed from R~ coef_out,
+    K is their weighted sum, and the gradient and Hessian are exact, from
+    V^T (R~ G_k R~^T) V, at O(n_w^2 rho^2); without groups G is summed
+    over column blocks and the derivatives are interpolated in node space
+    from M1 and M2.
 
     The engine keeps the last weight vector with its core
     eigendecomposition, so ``value`` then ``derivatives`` at one point
@@ -181,30 +182,24 @@ class PosteriorEngine:
         self._last = None  # (w, lam, vec) of the last core eigendecomposition
         self.coef_rows = coef_rows = lowrank.coef_out
         self.n_ambient = lowrank.n_cols
-        self.r_factor = lowrank.input_r  # (r1, N_out)
-        # a NaN in node_values would otherwise surface only at the first
-        # evaluation
-        if not np.all(np.isfinite(self.r_factor)):
-            raise NumericalFailure(
-                "factor R of the input factor is not finite",
-                {"shape": (lowrank.n_cols, lowrank.node_values.shape[0])},
-            )
+        self.r_factor = lowrank.input_r  # (rho, N_out)
         if row_group is not None:
             row_group = np.array(row_group, dtype=int)  # a key of shared_engine
             if row_group.size != coef_rows.shape[1]:
                 raise ValueError("row_group does not match the row count")
             self.n_weights = int(row_group.max()) + 1
             starts = _check_groups(row_group, self.n_weights)
-            n_out = coef_rows.shape[0]
-            self.group_grams = np.empty((self.n_weights, n_out, n_out))
-            for k, c in enumerate(np.split(coef_rows, starts[1:], axis=1)):
-                self.group_grams[k] = c @ c.T
+            # R~ coef_rows, (rho, n_rows), is not kept
+            rc = np.split(self.r_factor @ coef_rows, starts[1:], axis=1)
+            self.group_grams = np.stack([c @ c.T for c in rc])
         else:
             self.n_weights = coef_rows.shape[1]
             self.group_grams = None
         self.row_group = row_group
 
     def weighted_gram(self, w: np.ndarray) -> np.ndarray:
+        """G = coef_rows W coef_rows^T; with groups, the core R~ G R~^T
+        itself, the weighted sum of the group Grams."""
         w = np.clip(np.asarray(w, dtype=float), 0.0, None)
         if self.group_grams is not None:
             return np.tensordot(w, self.group_grams, axes=1)
@@ -214,8 +209,10 @@ class PosteriorEngine:
         w = np.asarray(w, dtype=float)
         if self._last is not None and np.array_equal(self._last[0], w):
             return self._last[1], self._last[2]
-        g = self.weighted_gram(w)
-        lam, vec = sym_eigh(self.r_factor @ g @ self.r_factor.T, "posterior core")
+        core = self.weighted_gram(w)
+        if self.group_grams is None:
+            core = self.r_factor @ core @ self.r_factor.T
+        lam, vec = sym_eigh(core, "posterior core")
         self._last = (w.copy(), lam, vec)
         return lam, vec
 
@@ -234,7 +231,8 @@ class PosteriorEngine:
         the gradient entry is -sigma2 * sum_a d_a^2 t_i[a]^2 (D: no sigma2)
         and the Hessian core is 2 sigma2 * M1 o Md (D: M1 o M1).
         Ungrouped: the Hessian is ``LowRankHessian(coef_rows, core)``,
-        interpolated in node space.  Grouped: with G^_k = T G_k T^T,
+        interpolated in node space.  Grouped: with G^_k = T G_k T^T
+        = V^T (R~ G_k R~^T) V,
         g_k = -sigma2 * sum_a d_a^2 G^_k[a, a] and H = 2 sigma2 * X X^T,
         X_k = vec(d1_a d_b G^_k[a, b]) -- exact, dense and PSD.
         """
@@ -258,7 +256,7 @@ class PosteriorEngine:
             gradient = -g_scale * column_sq_norms(d[:, None] * t, self.coef_rows)
             hessian = LowRankHessian(self.coef_rows, h_scale * (m1 * md))
         else:
-            ghat = t @ self.group_grams @ t.T  # (n_weights, r1, r1)
+            ghat = vec.T @ self.group_grams @ vec  # (n_weights, rho, rho)
             gradient = -g_scale * np.einsum("kaa,a->k", ghat, d * d)
             x = (ghat * np.outer(d1, d)).reshape(self.n_weights, -1)
             hessian = h_scale * (x @ x.T)

@@ -118,6 +118,16 @@ def finite_difference_gradient(value_fn, w, indices=None, base_step=1e-6):
     return grad
 
 
+def uncut_input_r(lowrank):
+    """A factor R (r1 x N_out) with R^T R = B^T B for B = coef_in^T
+    node_values^T, not cut to B's numerical rank: R = diag(sqrt(lam)) V^T
+    node_values^T from the eigendecomposition of coef_in coef_in^T, less
+    the eigenvalues at or below N_in * eps of the largest."""
+    lam, vec = np.linalg.eigh(lowrank.coef_in @ lowrank.coef_in.T)
+    keep = lam > lam.size * np.finfo(float).eps * lam.max()
+    return np.sqrt(lam[keep])[:, None] * vec[:, keep].T @ lowrank.node_values.T
+
+
 def dense_value_direct(f_matrix, w, setup: BayesSetup):
     """Criterion value via an explicit inverse; no shared code with the
     library's eigenvalue route beyond numpy."""

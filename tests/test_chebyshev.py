@@ -21,6 +21,7 @@ from sensorplace import (
 )
 from sensorplace import chebyshev
 from sensorplace.chebyshev import Grid1D, coefficient_matrix
+from sensorplace.gram import FACTOR_CUT
 from oracles import lagrange_product
 
 intervals = st.tuples(st.floats(-10.0, 10.0), st.floats(0.1, 10.0))
@@ -173,16 +174,18 @@ class TestBuildLowRank:
 
     def test_input_r_is_sized_by_input_rank(self):
         # R^T R = B^T B for B = coef_in^T node_values^T, with R's row count
-        # min(n_cols, N_in): fewer points than nodes, more points than
-        # nodes, and a space-time LIDAR surrogate with N_in < N_out
+        # the numerical rank of B at FACTOR_CUT: fewer points than nodes,
+        # more points than nodes, and a space-time LIDAR surrogate with
+        # N_in < N_out
         kern = gaussian_difference_kernel()
         cases = [build_lowrank(kern, mesh, mesh, 9)
                  for mesh in (build_mesh(RectDomain((-1.0,), (1.0,)), n) for n in (6, 40))]
         cases.append(build_lidar_problem(LidarConfig(n_d=8, n_r=4, n_x=6, n_t=3), 4.0).lowrank)
         for lowrank in cases:
-            n_in, n_out = lowrank.coef_in.shape[0], lowrank.node_values.shape[0]
-            assert lowrank.input_r.shape == (min(lowrank.n_cols, n_in), n_out)
             b = lowrank.coef_in.T @ lowrank.node_values.T
+            s = np.linalg.svd(b, compute_uv=False)
+            rank = int(np.count_nonzero(s > FACTOR_CUT * s[0]))
+            assert lowrank.input_r.shape == (rank, lowrank.node_values.shape[0])
             btb = b.T @ b
             gram = lowrank.input_r.T @ lowrank.input_r
             assert np.abs(gram - btb).max() <= 1e-12 * np.abs(btb).max()

@@ -217,6 +217,23 @@ class TestExitCodes:
         assert main(["--command", "design", "--config", cfg, "--out", str(out)]) == 2
         assert not (out / "summary.json").exists()
 
+    # list entries follow their scalar keys: node_constant's rule for each
+    # constant, a positive integer for each size
+    @pytest.mark.parametrize("line, flags", [
+        ("constants = nan", []),
+        ("", ["--constants", "inf"]),
+        ("", ["--constants=-3"]),
+        ("sizes = 16, many", []),
+        ("", ["--sizes", "0"]),
+        ("", ["--sizes", "16.5"]),
+    ])
+    def test_bad_list_entry_is_2(self, tmp_path, line, flags):
+        cfg = write_config(tmp_path, TINY_ANALYTIC + line + "\n")
+        out = tmp_path / "bad"
+        argv = ["--command", "gap-sweep", "--config", cfg, "--out", str(out), *flags]
+        assert main(argv) == 2
+        assert not (out / "summary.json").exists()
+
     def test_solver_failure_is_3(self, tmp_path, monkeypatch):
         import sensorplace.cli as cli_module
 

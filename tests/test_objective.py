@@ -18,12 +18,18 @@ from sensorplace import (
     dense_objective_value,
     gaussian_difference_kernel,
     integrality_gap,
+    product_exponential_kernel,
     shared_engine,
     solve_relaxed,
     sum_up_round,
 )
 from sensorplace.gram import COLUMN_BLOCK
-from oracles import dense_value_direct, dense_value_fn, finite_difference_gradient
+from oracles import (
+    dense_value_direct,
+    dense_value_fn,
+    finite_difference_gradient,
+    uncut_input_r,
+)
 
 
 def random_lowrank(rng, n=50, n_nodes=9):
@@ -417,15 +423,65 @@ class TestGroupedEngine:
     def test_grams_are_group_sums(self, rng):
         lowrank = random_lowrank(rng, n=self.ROW_GROUP.size, n_nodes=7)
         engine = PosteriorEngine(lowrank, BayesSetup(alpha=1.0), self.ROW_GROUP)
-        c = lowrank.coef_out
-        cols = [c[:, self.ROW_GROUP == k] for k in range(6)]
-        grams = np.stack([ck @ ck.T for ck in cols])
+        rc = lowrank.input_r @ lowrank.coef_out
+        cols = [rc[:, self.ROW_GROUP == k] for k in range(6)]
+        grams = np.stack([ck @ ck.T for ck in cols])  # R~ G_k R~^T
         assert_allclose(engine.group_grams, grams, rtol=1e-13, atol=1e-13)
+
+    def test_lidar_group_grams_are_rank_sized(self):
+        # the p = 3 advection-diffusion kernel has rank p^2 = 9
+        cfg = LidarConfig(n_d=8, n_r=3, n_x=6, n_t=2, p=3)
+        prob = build_lidar_problem(cfg, 8.0)
+        engine = PosteriorEngine(prob.lowrank, prob.setup, prob.row_group)
+        rho = prob.lowrank.input_r.shape[0]
+        assert rho <= cfg.p ** 2 < prob.lowrank.node_values.shape[1]
+        assert engine.group_grams.shape == (cfg.n_d, rho, rho)
 
     def test_row_count_mismatch_rejected(self, rng):
         lowrank = random_lowrank(rng, n=self.ROW_GROUP.size, n_nodes=7)
         with pytest.raises(ValueError):
             PosteriorEngine(lowrank, BayesSetup(alpha=1.0), self.ROW_GROUP[:-1])
+
+
+class TestCutInputFactor:
+    """The engine on the cut factor R~ against one on the uncut R."""
+
+    @staticmethod
+    def cases():
+        """(lowrank, row_group): Chebyshev surrogates of a Gaussian and a
+        product-exponential kernel, ungrouped and in pairs of rows, and a
+        grouped LIDAR problem."""
+        mesh = build_mesh(RectDomain((-1.0,), (1.0,)), 40)
+        for kern in (gaussian_difference_kernel(), product_exponential_kernel()):
+            lowrank = build_lowrank(kern, mesh, mesh, 16)
+            yield lowrank, None
+            yield lowrank, np.repeat(np.arange(20), 2)
+        prob = build_lidar_problem(LidarConfig(n_d=8, n_r=3, n_x=6, n_t=2), 8.0)
+        yield prob.lowrank, prob.row_group
+
+    @staticmethod
+    def close(got, want):
+        return np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("criterion", ["A", "D"])
+    def test_matches_uncut_factor(self, rng, criterion):
+        for lowrank, row_group in self.cases():
+            uncut = LowRankKernel(lowrank.coef_out, lowrank.node_values, lowrank.coef_in)
+            vars(uncut)["input_r"] = uncut_input_r(lowrank)
+            # every surrogate here is rank deficient: the cut drops rows
+            assert lowrank.input_r.shape[0] < uncut.input_r.shape[0]
+            setup = BayesSetup(alpha=0.4, sigma2_noise=1.3, criterion=criterion)
+            engine = PosteriorEngine(lowrank, setup, row_group)
+            reference = PosteriorEngine(uncut, setup, row_group)
+            w = rng.uniform(0.1, 0.9, engine.n_weights)
+            value, deriv = engine.derivatives(w)
+            ref_value, ref_deriv = reference.derivatives(w)
+            assert value == pytest.approx(ref_value, rel=1e-12)
+            assert self.close(deriv.gradient, ref_deriv.gradient)
+            if row_group is None:
+                assert self.close(deriv.hessian.core, ref_deriv.hessian.core)
+            else:
+                assert self.close(deriv.hessian, ref_deriv.hessian)
 
 
 class TestStructuralProperties:
