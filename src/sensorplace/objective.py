@@ -14,8 +14,9 @@ F_s^T W F_s = B G B^T, all of them come from one eigendecomposition of
 the rho x rho core R~ G R~^T.  Each design shape has one derivative
 route: ungrouped designs interpolate the gradient and Hessian from the
 node-space matrices M1, M2 (the paper's O(n log^2 n) route); grouped
-designs get the exact gradient and dense Hessian of the surrogate from
-the rho x rho per-group Gram matrices, at O(n_w^2 rho^2) per call.  The
+designs get the exact gradient of the surrogate and a rank-k factor of
+its exact Hessian, cut at ``HESSIAN_CUT``, from the rho x rho per-group
+Gram matrices, at O(n_w rho^2 min(n_w, rho^2)) per call.  The
 ``dense_*`` functions factor an explicit F and exist only as validation
 oracles on small problems.
 
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebyshev import LowRankKernel
-from .gram import SPECTRUM_CUT, column_gram, column_sq_norms, cut_mask, sym_eigh
+from .gram import HESSIAN_CUT, SPECTRUM_CUT, column_gram, column_sq_norms, cut_mask, sym_eigh
 from .qp_solver import LowRankHessian
 
 __all__ = [
@@ -129,13 +130,13 @@ class InterpolatedDerivatives:
     form ``QpProblem.hess`` takes: for ungrouped designs the interpolated
     ``LowRankHessian(coef_rows, htilde)`` with node-space core htilde
     (2 sigma2 * m1 o m2 for the A-criterion, m1 o m1 for D); for grouped
-    designs the exact dense n_weights x n_weights matrix.  ``gradient``
-    has one entry per weight.
+    designs ``LowRankHessian(W, I_k)``, a rank-k factor W^T W of the exact
+    Hessian, cut at ``HESSIAN_CUT``.  ``gradient`` has one entry per weight.
     """
 
     m1: np.ndarray
     m2: np.ndarray
-    hessian: np.ndarray | LowRankHessian
+    hessian: LowRankHessian
     gradient: np.ndarray
 
 
@@ -144,10 +145,14 @@ def _check_groups(row_group: np.ndarray, n_groups: int) -> np.ndarray:
     runs of rows numbered 0..n_groups-1 in row order."""
     if row_group.ndim != 1 or row_group.size == 0:
         raise ValueError("row_group must be a nonempty vector")
-    steps = np.diff(row_group, prepend=-1)  # 1 at the first row of each group
-    if row_group[0] != 0 or row_group[-1] != n_groups - 1 or not np.isin(steps, (0, 1)).all():
+    steps = row_group[1:] - row_group[:-1]  # steps[j] = 1 where row j + 1 starts a group
+    if (
+        row_group[0] != 0
+        or row_group[-1] != n_groups - 1
+        or (steps.size and (steps.min() < 0 or steps.max() > 1))
+    ):
         raise ValueError("row_group must number contiguous runs of rows 0..n_groups-1 in order")
-    return np.flatnonzero(steps)
+    return np.concatenate(([0], np.flatnonzero(steps) + 1))
 
 
 class PosteriorEngine:
@@ -166,8 +171,9 @@ class PosteriorEngine:
 
     where a truncated eigenvalue counts as 0.  With row groups, the
     rho x rho group Grams R~ G_k R~^T are precomputed from R~ coef_out,
-    K is their weighted sum, and the gradient and Hessian are exact, from
-    V^T (R~ G_k R~^T) V, at O(n_w^2 rho^2); without groups G is summed
+    K is their weighted sum, and the gradient and a rank-k factor of the
+    exact Hessian, cut at ``HESSIAN_CUT``, come from V^T (R~ G_k R~^T) V,
+    at O(n_w rho^2 min(n_w, rho^2)); without groups G is summed
     over column blocks and the derivatives are interpolated in node space
     from M1 and M2.
 
@@ -233,8 +239,9 @@ class PosteriorEngine:
         Ungrouped: the Hessian is ``LowRankHessian(coef_rows, core)``,
         interpolated in node space.  Grouped: with G^_k = T G_k T^T
         = V^T (R~ G_k R~^T) V,
-        g_k = -sigma2 * sum_a d_a^2 G^_k[a, a] and H = 2 sigma2 * X X^T,
-        X_k = vec(d1_a d_b G^_k[a, b]) -- exact, dense and PSD.
+        g_k = -sigma2 * sum_a d_a^2 G^_k[a, a] and the exact H = 2 sigma2 * X X^T,
+        X_k = vec(d1_a d_b G^_k[a, b]), reaches the QP as a rank-k factor
+        ``LowRankHessian(W, I_k)`` cut at ``HESSIAN_CUT`` (``_hessian_rows``).
         """
         setup = self.setup
         lam, vec = self._core_eigh(w)
@@ -259,8 +266,29 @@ class PosteriorEngine:
             ghat = vec.T @ self.group_grams @ vec  # (n_weights, rho, rho)
             gradient = -g_scale * np.einsum("kaa,a->k", ghat, d * d)
             x = (ghat * np.outer(d1, d)).reshape(self.n_weights, -1)
-            hessian = h_scale * (x @ x.T)
+            hessian = _hessian_rows(x, h_scale)
         return value, InterpolatedDerivatives(m1, m2, hessian, gradient)
+
+
+def _hessian_rows(x: np.ndarray, scale: float) -> LowRankHessian:
+    """H = scale * X X^T as ``LowRankHessian(W, I_k)`` with W^T W the H
+    cut at ``HESSIAN_CUT``, the rule the QP applies to its core.
+
+    Only the smaller of scale * X^T X and scale * X X^T, which share their
+    nonzero eigenvalues theta, is decomposed: with X^T X = V theta V^T the
+    rows are W = sqrt(scale) V_k^T X^T, with X X^T = U theta U^T they are
+    W = sqrt(theta_k) U_k^T.
+    """
+    n_w, m = x.shape
+    if m <= n_w:
+        theta, v = sym_eigh(scale * (x.T @ x), "grouped Hessian Gram")
+        v = v[:, cut_mask(theta, HESSIAN_CUT)]
+        rows = math.sqrt(scale) * (v.T @ x.T)
+    else:
+        theta, u = sym_eigh(scale * (x @ x.T), "grouped Hessian")
+        keep = cut_mask(theta, HESSIAN_CUT)
+        rows = np.sqrt(theta[keep])[:, None] * u[:, keep].T
+    return LowRankHessian(rows, np.eye(rows.shape[0]))
 
 
 def shared_engine(lowrank: LowRankKernel, setup: BayesSetup, row_group=None) -> PosteriorEngine:

@@ -18,9 +18,11 @@ sigma * mu floored at 0.1 tol, and a corrector carrying the second-order
 term ds_aff * dlam_aff, followed by one step length common to primal and
 dual.  Both solves use the one normal-matrix operator built per iteration.
 
-H comes in factored form C^T Htilde C (rank N << n); a dense H is taken
-as the core of I^T H I.  The truncated eigendecomposition of the core
-gives rows W (r x n, r <= N) with H = W^T W; W is formed once per solve.
+H comes in factored form C^T Htilde C (rank N << n); the design
+criteria always pass this form, and a dense H, its own core, is an input
+of the dense oracle and of tests only.  The truncated eigendecomposition
+of the core gives rows W (r x n, r <= N) with H = W^T W; W is formed
+once per solve.
 The operator factors the small Woodbury core I + W D^{-1} W^T once per
 iteration, in O(n r^2), and adds a rank-one Sherman-Morrison update for
 the budget term; each solve then costs O(n r).
@@ -141,24 +143,20 @@ def _max_abs(x: np.ndarray) -> float:
     return float(max(x.max(), -x.min()))
 
 
-def _factored_hess(problem: QpProblem) -> LowRankHessian:
-    """The Hessian in factored form; a dense H is the core of I^T H I."""
-    if isinstance(problem.hess, LowRankHessian):
-        return problem.hess
-    return LowRankHessian(np.eye(problem.n), np.asarray(problem.hess, dtype=float))
-
-
 def _woodbury_rows(problem: QpProblem) -> np.ndarray:
     """Rows W with H = W^T W for the truncated factored Hessian.
 
-    W = sqrt(theta) basis^T coef from the kept eigenpairs of the core;
-    scaling sqrt(theta) into the rows makes the Woodbury core
-    I + W D^{-1} W^T, far better conditioned than the raw form with
-    theta^{-1} when theta spans many decades.
+    W = sqrt(theta) basis^T coef from the kept eigenpairs of the core, and
+    W = sqrt(theta) basis^T for a dense H, its own core; scaling
+    sqrt(theta) into the rows makes the Woodbury core I + W D^{-1} W^T,
+    far better conditioned than the raw form with theta^{-1} when theta
+    spans many decades.
     """
-    hess = _factored_hess(problem)
-    theta, basis = truncated_core(hess.core)
-    return (np.sqrt(theta)[:, None] * basis.T) @ hess.coef
+    hess = problem.hess
+    factored = isinstance(hess, LowRankHessian)
+    theta, basis = truncated_core(hess.core if factored else np.asarray(hess, dtype=float))
+    wrows = np.sqrt(theta)[:, None] * basis.T
+    return wrows @ hess.coef if factored else wrows
 
 
 class NormalMatrixAction:

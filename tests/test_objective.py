@@ -6,6 +6,7 @@ from sensorplace import (
     BayesSetup,
     DesignWeights,
     LidarConfig,
+    LowRankHessian,
     LowRankKernel,
     NumericalFailure,
     PosteriorEngine,
@@ -378,6 +379,16 @@ class TestGroupReduce:
         with pytest.raises(ValueError):
             PosteriorEngine(random_lowrank(rng, n=4, n_nodes=3), BayesSetup(alpha=1.0), row_group)
 
+    def test_map_ending_before_the_last_weight_rejected(self):
+        with pytest.raises(ValueError):
+            DesignWeights(np.full(3, 0.5), 3.0, row_group=np.array([0, 0, 1, 1]))
+
+    def test_one_row_map_accepted(self, rng):
+        weights = DesignWeights(np.array([0.5]), 1.0, row_group=np.array([0]))
+        assert weights.n_rows == 1
+        engine = PosteriorEngine(random_lowrank(rng, n=1, n_nodes=3), BayesSetup(alpha=1.0), [0])
+        assert engine.n_weights == 1 and engine.group_grams.shape[0] == 1
+
 
 class TestGroupedEngine:
     # contiguous groups of unequal sizes, including singletons
@@ -394,16 +405,22 @@ class TestGroupedEngine:
         _, grad, _ = dense_objective_and_derivatives(lowrank.dense(), weights, setup)
         assert_allclose(deriv.gradient, grad, rtol=1e-10)
 
+    # two-time groups on more weights (200) than a 7-node surrogate's
+    # rho^2 <= 49: the Hessian rows come from the rho^2 x rho^2 Gram side
+    WIDE_GROUP = np.repeat(np.arange(200), 2)
+
     @staticmethod
     def grouped_cases(rng):
-        """(lowrank, row_group): unequal groups, a tiny LIDAR problem, and
-        two-time groups."""
+        """(lowrank, row_group): unequal groups, a tiny LIDAR problem,
+        two-time groups, and two-time groups with n_w > rho^2."""
         row_group = TestGroupedEngine.ROW_GROUP
         yield random_lowrank(rng, n=row_group.size, n_nodes=7), row_group
         prob = build_lidar_problem(LidarConfig(n_d=8, n_r=3, n_x=6, n_t=2), 4.0)
         yield prob.lowrank, prob.row_group
         pair_group = np.repeat(np.arange(6), 2)
         yield random_lowrank(rng, n=pair_group.size, n_nodes=7), pair_group
+        wide_group = TestGroupedEngine.WIDE_GROUP
+        yield random_lowrank(rng, n=wide_group.size, n_nodes=7), wide_group
 
     @pytest.mark.parametrize("criterion", ["A", "D"])
     def test_exact_derivatives_match_dense_oracle(self, rng, criterion):
@@ -414,11 +431,40 @@ class TestGroupedEngine:
             _, deriv = PosteriorEngine(lowrank, setup, row_group).derivatives(w)
             weights = DesignWeights(w, float(n_w), row_group=row_group)
             _, grad, hess = dense_objective_and_derivatives(lowrank.dense(), weights, setup)
-            assert deriv.hessian.shape == (n_w, n_w)
+            assert deriv.hessian.dense().shape == (n_w, n_w)
             assert np.abs(deriv.gradient - grad).max() <= 1e-10 * np.abs(grad).max()
-            assert np.abs(deriv.hessian - hess).max() <= 1e-10 * np.abs(hess).max()
-            eigs = np.linalg.eigvalsh(deriv.hessian)
+            assert np.abs(deriv.hessian.dense() - hess).max() <= 1e-10 * np.abs(hess).max()
+            eigs = np.linalg.eigvalsh(deriv.hessian.dense())
             assert eigs.min() >= -1e-12 * eigs.max()
+
+    def test_hessian_is_rank_sized_factor(self, rng):
+        # k rows W with H = W^T W and an identity core, k <= min(n_w, rho^2)
+        for lowrank, row_group in self.grouped_cases(rng):
+            n_w = int(row_group.max()) + 1
+            rho = lowrank.input_r.shape[0]
+            engine = PosteriorEngine(lowrank, BayesSetup(alpha=0.4), row_group)
+            _, deriv = engine.derivatives(rng.uniform(0.1, 0.9, n_w))
+            assert isinstance(deriv.hessian, LowRankHessian)
+            k = deriv.hessian.coef.shape[0]
+            assert 0 < k <= min(n_w, rho**2)
+            assert deriv.hessian.coef.shape == (k, n_w)
+            assert np.array_equal(deriv.hessian.core, np.eye(k))
+
+    def test_solve_never_decomposes_an_n_w_matrix(self, rng, monkeypatch):
+        row_group = self.WIDE_GROUP
+        n_w = int(row_group.max()) + 1
+        lowrank = random_lowrank(rng, n=row_group.size, n_nodes=7)
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def recording_eigh(mat, *args, **kwargs):
+            shapes.append(np.shape(mat))
+            return eigh(mat, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        result = solve_relaxed(lowrank, BayesSetup(alpha=0.4), 20.0, row_group=row_group)
+        assert result.iterations >= 1
+        assert shapes and all(shape[0] < n_w for shape in shapes)
 
     def test_grams_are_group_sums(self, rng):
         lowrank = random_lowrank(rng, n=self.ROW_GROUP.size, n_nodes=7)
@@ -481,7 +527,7 @@ class TestCutInputFactor:
             if row_group is None:
                 assert self.close(deriv.hessian.core, ref_deriv.hessian.core)
             else:
-                assert self.close(deriv.hessian, ref_deriv.hessian)
+                assert self.close(deriv.hessian.dense(), ref_deriv.hessian.dense())
 
 
 class TestStructuralProperties:
