@@ -11,7 +11,12 @@ Chebyshev axes map the Chebyshev points onto the axis interval; a
 single-time axis takes the measurement time itself as its node.  The
 Lagrange basis of any grid comes from the barycentric formula, at O(N)
 per point, and is the exact unit vector at a node.  Space-time output
-meshes with several times treat time as one more Chebyshev axis.
+meshes with several times treat time as one more Chebyshev axis.  Their
+rows are location-major, so the output coefficients are the Kronecker
+product C_space kron C_time of a spatial factor (N_s x n_s, one column
+per location) and a time factor (N_t x n_t, the time grid's basis at the
+measurement times; [[1]] for a single time).  The surrogate keeps only
+the factors and forms the N_out x n_s n_t product on first use.
 """
 
 from __future__ import annotations
@@ -137,19 +142,52 @@ class LowRankKernel:
     times the input cell measure; ``coef_out``/``coef_in`` hold tensor
     Lagrange coefficients of the output/input mesh points, so
     F_s[i, j] interpolates f at (x_i, y_j) times dy.
+
+    ``coef_out`` is stored as factors.  Without a time axis it is
+    ``coef_space`` itself.  On a space-time mesh (n_s locations x n_t
+    times, location-major) it is coef_space (N_s x n_s) kron ``coef_time``
+    (N_t x n_t), the time grid's Lagrange basis at the measurement times;
+    ``mul_coef_out`` applies it from the factors, and ``coef_out`` forms
+    the N_out x n_s n_t matrix only on first access (ungrouped engines,
+    ``dense`` and oracles).
     """
 
-    coef_out: np.ndarray
+    coef_space: np.ndarray
     node_values: np.ndarray
     coef_in: np.ndarray
+    coef_time: np.ndarray | None = None
 
     @property
     def n_rows(self) -> int:
-        return self.coef_out.shape[1]
+        n_t = 1 if self.coef_time is None else self.coef_time.shape[1]
+        return self.coef_space.shape[1] * n_t
 
     @property
     def n_cols(self) -> int:
         return self.coef_in.shape[1]
+
+    @cached_property
+    def coef_out(self) -> np.ndarray:
+        """Output coefficients, one column per output mesh row (read-only)."""
+        if self.coef_time is None:
+            return self.coef_space
+        # one product per entry, as coefficient_matrix forms it
+        return np.kron(self.coef_space, self.coef_time)
+
+    def mul_coef_out(self, m: np.ndarray) -> np.ndarray:
+        """m @ coef_out for m of N_out columns, without forming coef_out.
+
+        m is viewed as (k, N_s, N_t) and multiplied by coef_time over the
+        time nodes, then by coef_space over the spatial nodes.
+        """
+        if self.coef_time is None:
+            return m @ self.coef_space
+        k = m.shape[0]
+        (n_space, _), (n_node_t, n_t) = self.coef_space.shape, self.coef_time.shape
+        mt = (m.reshape(k * n_space, n_node_t) @ self.coef_time).reshape(k, n_space, n_t)
+        out = mt.transpose(0, 2, 1).reshape(k * n_t, n_space) @ self.coef_space
+        # (k, n_t, n_s) to location-major, time-minor columns
+        return out.reshape(k, n_t, -1).transpose(0, 2, 1).reshape(k, -1)
 
     @cached_property
     def input_r(self) -> np.ndarray:
@@ -189,21 +227,31 @@ def build_lowrank(
 
     Each domain of dimension d gets max(2, ceil(budget**(1/d))) Chebyshev
     nodes per axis on its interpolation box.  For a space-time output mesh
-    time counts as one axis of the output domain and is interpolated like
-    the spatial ones; a single-time mesh keeps that time as its one node.
-    A disk output mesh is interpolated on its bounding square.  One mesh
-    without times on both sides shares one coefficient matrix.
+    with several times, time counts as one axis of the output domain and
+    is interpolated like the spatial ones; a single-time mesh keeps that
+    time as its one node.  Either way the output coefficients are kept as
+    space and time factors (``LowRankKernel.coef_time``), which requires
+    the location-major, time-minor rows of ``spacetime_mesh``.  A disk
+    output mesh is interpolated on its bounding square.  One mesh without
+    times on both sides shares one coefficient matrix.
     """
-    has_time = out_mesh.times is not None
-    single_time = has_time and out_mesh.times.size == 1
-    d_out = out_mesh.dim - (1 if single_time else 0)
-    out_each = nodes_per_axis(budget, d_out)
-    grids_out = [chebyshev_nodes(out_each, lo, hi) for lo, hi in out_mesh.bounds[:d_out]]
-    if single_time:
-        grids_out.append(Grid1D(out_mesh.times))
-    coef_out = coefficient_matrix(grids_out, out_mesh.points)
+    times = out_mesh.times
+    has_time = times is not None
+    spatial = out_mesh.dim - (1 if has_time else 0)
+    # several times make time one more Chebyshev axis; one time is its own node
+    cheb_time = has_time and times.size > 1
+    out_each = nodes_per_axis(budget, spatial + cheb_time)
+    grids_out = [chebyshev_nodes(out_each, lo, hi) for lo, hi in out_mesh.bounds[:spatial]]
+    if has_time:
+        coef_space = coefficient_matrix(grids_out, _space_points(out_mesh))
+        t_lo, t_hi = out_mesh.bounds[spatial]
+        grids_out.append(chebyshev_nodes(out_each, t_lo, t_hi) if cheb_time else Grid1D(times))
+        coef_time = lagrange_coefficients(grids_out[-1], times)
+    else:
+        coef_space = coefficient_matrix(grids_out, out_mesh.points)
+        coef_time = None
     if in_mesh is out_mesh and not has_time:
-        grids_in, coef_in = grids_out, coef_out
+        grids_in, coef_in = grids_out, coef_space
     else:
         in_each = nodes_per_axis(budget, in_mesh.dim)
         grids_in = [chebyshev_nodes(in_each, lo, hi) for lo, hi in in_mesh.bounds]
@@ -211,14 +259,26 @@ def build_lowrank(
 
     xt = _node_tuples(grids_out)
     yt = _node_tuples(grids_in)
-    spatial = out_mesh.dim - (1 if has_time else 0)
     yb = yt[None, :, :]
     if has_time:
         values = kernel(xt[:, None, :spatial], yb, xt[:, None, spatial])
     else:
         values = kernel(xt[:, None, :], yb)
     values = values * in_mesh.cell_measure
-    return LowRankKernel(coef_out, values, coef_in)
+    return LowRankKernel(coef_space, values, coef_in, coef_time)
+
+
+def _space_points(mesh: MeshedDomain) -> np.ndarray:
+    """The n_s locations of a space-time mesh; ValueError unless its rows
+    are location-major, time-minor (row i * n_t + j is location i at
+    time j), the layout ``spacetime_mesh`` builds."""
+    n_t = mesh.times.size
+    if mesh.n_points % n_t == 0:
+        rows = mesh.points.reshape(-1, n_t, mesh.dim)
+        space = rows[:, 0, :-1]
+        if np.all(rows[:, :, -1] == mesh.times) and np.all(rows[:, :, :-1] == space[:, None]):
+            return space
+    raise ValueError("space-time mesh rows must be location-major, time-minor")
 
 
 def lebesgue_constant(grid: Grid1D, sample_count: int = 5001) -> float:

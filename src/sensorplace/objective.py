@@ -171,11 +171,13 @@ class PosteriorEngine:
 
     where a truncated eigenvalue counts as 0.  With row groups, the
     rho x rho group Grams R~ G_k R~^T are precomputed from R~ coef_out,
+    applied from the surrogate's space and time factors
+    (``LowRankKernel.mul_coef_out``) so coef_out itself is never formed,
     K is their weighted sum, and the gradient and a rank-k factor of the
     exact Hessian, cut at ``HESSIAN_CUT``, come from V^T (R~ G_k R~^T) V,
     at O(n_w rho^2 min(n_w, rho^2)); without groups G is summed
-    over column blocks and the derivatives are interpolated in node space
-    from M1 and M2.
+    over column blocks of coef_out, which the engine forms and keeps, and
+    the derivatives are interpolated in node space from M1 and M2.
 
     The engine keeps the last weight vector with its core
     eigendecomposition, so ``value`` then ``derivatives`` at one point
@@ -186,20 +188,21 @@ class PosteriorEngine:
     def __init__(self, lowrank: LowRankKernel, setup: BayesSetup, row_group=None):
         self.setup = setup
         self._last = None  # (w, lam, vec) of the last core eigendecomposition
-        self.coef_rows = coef_rows = lowrank.coef_out
         self.n_ambient = lowrank.n_cols
         self.r_factor = lowrank.input_r  # (rho, N_out)
         if row_group is not None:
             row_group = np.array(row_group, dtype=int)  # a key of shared_engine
-            if row_group.size != coef_rows.shape[1]:
+            if row_group.size != lowrank.n_rows:
                 raise ValueError("row_group does not match the row count")
             self.n_weights = int(row_group.max()) + 1
             starts = _check_groups(row_group, self.n_weights)
-            # R~ coef_rows, (rho, n_rows), is not kept
-            rc = np.split(self.r_factor @ coef_rows, starts[1:], axis=1)
+            # R~ coef_out, (rho, n_rows), from the surrogate's factors and not kept
+            rc = np.split(lowrank.mul_coef_out(self.r_factor), starts[1:], axis=1)
             self.group_grams = np.stack([c @ c.T for c in rc])
+            self.coef_rows = None
         else:
-            self.n_weights = coef_rows.shape[1]
+            self.coef_rows = lowrank.coef_out
+            self.n_weights = self.coef_rows.shape[1]
             self.group_grams = None
         self.row_group = row_group
 

@@ -54,6 +54,8 @@ class SqpConfig:
     def __post_init__(self):
         if not 0.0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be positive and finite")
+        if self.max_outer < 1:
+            raise ValueError("max_outer must be at least 1")
 
 
 @dataclass

@@ -5,9 +5,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from sensorplace import (
+    DiskSensorDomain,
     Kernel,
     LidarConfig,
+    MeshedDomain,
     RectDomain,
+    advdiff_kernel,
+    build_disk_mesh,
     build_lidar_problem,
     build_lowrank,
     build_mesh,
@@ -18,6 +22,7 @@ from sensorplace import (
     lebesgue_constant,
     node_budget,
     nodes_per_axis,
+    spacetime_mesh,
 )
 from sensorplace import chebyshev
 from sensorplace.chebyshev import Grid1D, coefficient_matrix
@@ -216,11 +221,77 @@ class TestBuildLowRank:
         lowrank = build_lowrank(gaussian_difference_kernel(), mesh, mesh, 6)
         assert lowrank.coef_in is lowrank.coef_out
         assert calls == [30]
-        # a space-time output mesh and its input grid still get one each
+        # a space-time output mesh and its input grid still get one each;
+        # the output call sees the n_s = n_d * n_r locations, not n_s * n_t rows
         calls.clear()
         prob = build_lidar_problem(LidarConfig(n_d=4, n_r=2, n_t=2, n_x=3), 2.0)
-        assert len(calls) == 2
+        assert calls == [4 * 2, 3 * 3]
         assert prob.lowrank.coef_in is not prob.lowrank.coef_out
+
+
+def _disk_spacetime(n_t):
+    disk = build_disk_mesh(DiskSensorDomain(6, 3))
+    return disk, spacetime_mesh(disk, np.linspace(0.5, 2.0, n_t))
+
+
+class TestSpaceTimeFactors:
+    """coef_out = coef_space kron coef_time on a location-major space-time mesh."""
+
+    @pytest.mark.parametrize("n_t", [1, 5])
+    def test_coef_out_equals_full_coefficient_matrix(self, n_t):
+        _, stm = _disk_spacetime(n_t)
+        grid = build_mesh(RectDomain((-1.0, -1.0), (1.0, 1.0)), 4)
+        budget = 30
+        lowrank = build_lowrank(advdiff_kernel(LidarConfig(n_t=n_t)), stm, grid, budget)
+        # the grids of the dense route: several times are one more
+        # Chebyshev axis, a single time is its own node
+        if n_t == 1:
+            each = nodes_per_axis(budget, 2)
+            grids = [chebyshev_nodes(each, lo, hi) for lo, hi in stm.bounds[:2]]
+            grids.append(Grid1D(stm.times))
+        else:
+            each = nodes_per_axis(budget, 3)
+            grids = [chebyshev_nodes(each, lo, hi) for lo, hi in stm.bounds]
+        assert "coef_out" not in vars(lowrank)
+        assert lowrank.n_rows == stm.n_points
+        assert lowrank.coef_time.shape == (grids[-1].nodes.size, n_t)
+        assert np.array_equal(lowrank.coef_out, coefficient_matrix(grids, stm.points))
+        with pytest.raises(AttributeError):
+            lowrank.coef_out = lowrank.coef_space
+
+    def test_factor_product_matches_coef_out(self, rng):
+        _, stm = _disk_spacetime(5)
+        grid = build_mesh(RectDomain((-1.0, -1.0), (1.0, 1.0)), 4)
+        line = build_mesh(RectDomain((-1.0,), (1.0,)), 40)
+        cases = [build_lowrank(advdiff_kernel(LidarConfig(n_t=5)), stm, grid, 30),
+                 build_lowrank(gaussian_difference_kernel(), line, line, 8)]
+        for lowrank in cases:
+            m = rng.normal(size=(7, lowrank.node_values.shape[0]))
+            got = lowrank.mul_coef_out(m)
+            want = m @ lowrank.coef_out
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_time_major_mesh_rejected(self):
+        disk, stm = _disk_spacetime(3)
+        grid = build_mesh(RectDomain((-1.0, -1.0), (1.0, 1.0)), 4)
+        kern = advdiff_kernel(LidarConfig(n_t=3))
+        # the same rows, time-major: every location at t_1, then at t_2, ...
+        pts = np.column_stack([np.tile(disk.points, (3, 1)), np.repeat(stm.times, disk.n_points)])
+        time_major = MeshedDomain(disk.domain, pts, disk.cell_measure, stm.bounds, times=stm.times)
+        with pytest.raises(ValueError, match="location-major"):
+            build_lowrank(kern, time_major, grid, 30)
+        # a row count that is no multiple of n_t
+        short = MeshedDomain(disk.domain, stm.points[:-1], disk.cell_measure, stm.bounds,
+                             times=stm.times)
+        with pytest.raises(ValueError, match="location-major"):
+            build_lowrank(kern, short, grid, 30)
+        # the times in order, but the first row at the second location
+        pts = stm.points.copy()
+        pts[0, :2] = stm.points[3, :2]
+        mixed = MeshedDomain(disk.domain, pts, disk.cell_measure, stm.bounds, times=stm.times)
+        with pytest.raises(ValueError, match="location-major"):
+            build_lowrank(kern, mixed, grid, 30)
 
 
 class TestNodeBudget:

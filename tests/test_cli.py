@@ -209,6 +209,7 @@ class TestExitCodes:
         (TINY_ANALYTIC, "sigma2_noise = inf"),
         (TINY_ANALYTIC, "budget_fraction = nan"),
         (TINY_ANALYTIC, "node_constant = nan"),
+        (TINY_ANALYTIC, "max_outer = 0"),
         (TINY_LIDAR, "mu = nan"),
     ])
     def test_non_finite_setting_is_2(self, tmp_path, base, line):

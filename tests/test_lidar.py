@@ -257,6 +257,20 @@ class TestBuildLidarProblem:
         assert prob.setup.alpha == cfg.alpha
         assert prob.dense_f.shape == (96, 36)
 
+    def test_design_path_never_forms_coef_out(self):
+        # grouped designs read the output coefficients only through the
+        # space and time factors; the N_out x n_rows matrix stays unformed
+        from sensorplace import SqpConfig, angular_plan, integrality_gap, solve_relaxed, sum_up_round
+
+        prob = build_lidar_problem(LidarConfig(n_d=12, n_r=6, n_x=8, n_t=3), node_constant=8.0)
+        lowrank = prob.lowrank
+        res = solve_relaxed(lowrank, prob.setup, float(prob.budget), SqpConfig(epsilon=1e-6),
+                            row_group=prob.row_group)
+        w_int = sum_up_round(res.weights, angular_plan(prob.sector_angles))
+        integrality_gap(lowrank, prob.setup, res.weights, w_int)
+        assert res.iterations >= 1
+        assert "coef_out" not in vars(lowrank)
+
     def test_surrogate_design_near_dense_oracle(self):
         # the exact-derivative dense solve can do no worse than 1e-3 below
         # the surrogate design when both are scored with the full matrix

@@ -200,6 +200,10 @@ class TestSolveRelaxed:
         for epsilon in (0.0, np.nan, np.inf):
             with pytest.raises(ValueError):
                 SqpConfig(epsilon=epsilon)
+        # no outer iteration would run and the start would be reported as max_outer
+        for max_outer in (0, -3):
+            with pytest.raises(ValueError, match="max_outer"):
+                SqpConfig(max_outer=max_outer)
 
 
 class TestThinBudgetSlack:
