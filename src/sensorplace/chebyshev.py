@@ -178,16 +178,16 @@ class LowRankKernel:
         """m @ coef_out for m of N_out columns, without forming coef_out.
 
         m is viewed as (k, N_s, N_t) and multiplied by coef_time over the
-        time nodes, then by coef_space over the spatial nodes.
+        time nodes, then coef_space^T is applied to each of the k
+        (N_s, n_t) slices, which writes the location-major, time-minor
+        (k, n_s, n_t) product directly.
         """
         if self.coef_time is None:
             return m @ self.coef_space
         k = m.shape[0]
         (n_space, _), (n_node_t, n_t) = self.coef_space.shape, self.coef_time.shape
         mt = (m.reshape(k * n_space, n_node_t) @ self.coef_time).reshape(k, n_space, n_t)
-        out = mt.transpose(0, 2, 1).reshape(k * n_t, n_space) @ self.coef_space
-        # (k, n_t, n_s) to location-major, time-minor columns
-        return out.reshape(k, n_t, -1).transpose(0, 2, 1).reshape(k, -1)
+        return np.matmul(self.coef_space.T, mt).reshape(k, -1)
 
     @cached_property
     def input_r(self) -> np.ndarray:

@@ -34,16 +34,23 @@ GRAM_CUT_PER_ROW = np.finfo(float).eps
 FACTOR_CUT = 1e-15
 
 
-def column_gram(mat: np.ndarray, root: np.ndarray | None = None) -> np.ndarray:
-    """S S^T for S = mat diag(root), summed over COLUMN_BLOCK-column blocks
-    so no scaled copy of ``mat`` is allocated; symmetric to the last bit."""
-    n_rows, n = mat.shape
-    gram = np.zeros((n_rows, n_rows))
+def column_gram(mat: np.ndarray, weights: np.ndarray | None = None,
+                left: np.ndarray | None = None) -> np.ndarray:
+    """S diag(weights) S^T for S = left @ mat (S = mat without ``left``),
+    summed over COLUMN_BLOCK-column blocks as (S_b diag(w_b)) S_b^T, so
+    neither left @ mat nor a weighted copy of ``mat`` is allocated;
+    symmetric to the last bit."""
+    n = mat.shape[1]
+    size = mat.shape[0] if left is None else left.shape[0]
+    gram = np.zeros((size, size))
     for j in range(0, n, COLUMN_BLOCK):
         block = mat[:, j : j + COLUMN_BLOCK]
-        if root is not None:
-            block = block * root[j : j + COLUMN_BLOCK]
-        gram += block @ block.T
+        if left is not None:
+            block = left @ block
+        if weights is None:
+            gram += block @ block.T
+        else:
+            gram += (block * weights[j : j + COLUMN_BLOCK]) @ block.T
     return 0.5 * (gram + gram.T)
 
 

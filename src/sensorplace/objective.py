@@ -11,7 +11,10 @@ D-criterion its log-determinant.  Each quantity has one route:
 Hessian through the low-rank surrogate F_s.  With R~^T R~ = B^T B for
 the input factor B, R~ (rho x N_out) cut to B's numerical rank rho, and
 F_s^T W F_s = B G B^T, all of them come from one eigendecomposition of
-the rho x rho core R~ G R~^T.  Each design shape has one derivative
+the rho x rho core R~ G R~^T.  Both design shapes form that core on rho
+rows: ungrouped designs sum it over column blocks of coef_out as
+(R~ C_b W_b)(R~ C_b)^T, grouped ones weight precomputed rho x rho group
+Grams.  Each design shape has one derivative
 route: ungrouped designs interpolate the gradient and Hessian from the
 node-space matrices M1, M2 (the paper's O(n log^2 n) route); grouped
 designs get the exact gradient of the surrogate and a rank-k factor of
@@ -175,9 +178,11 @@ class PosteriorEngine:
     (``LowRankKernel.mul_coef_out``) so coef_out itself is never formed,
     K is their weighted sum, and the gradient and a rank-k factor of the
     exact Hessian, cut at ``HESSIAN_CUT``, come from V^T (R~ G_k R~^T) V,
-    at O(n_w rho^2 min(n_w, rho^2)); without groups G is summed
-    over column blocks of coef_out, which the engine forms and keeps, and
-    the derivatives are interpolated in node space from M1 and M2.
+    at O(n_w rho^2 min(n_w, rho^2)); without groups G is summed over
+    column blocks C_b of coef_out, which the engine forms and keeps,
+    straight into K as the sum of (R~ C_b W_b)(R~ C_b)^T, so neither the
+    N_out x N_out G nor R~ coef_out (rho x n) is formed, and the
+    derivatives are interpolated in node space from M1 and M2.
 
     The engine keeps the last weight vector with its core
     eigendecomposition, so ``value`` then ``derivatives`` at one point
@@ -207,21 +212,20 @@ class PosteriorEngine:
         self.row_group = row_group
 
     def weighted_gram(self, w: np.ndarray) -> np.ndarray:
-        """G = coef_rows W coef_rows^T; with groups, the core R~ G R~^T
-        itself, the weighted sum of the group Grams."""
+        """The rho x rho core R~ G R~^T, G = coef_out W coef_out^T: with
+        groups the weighted sum of the group Grams, without groups summed
+        over column blocks C_b of coef_out as (R~ C_b W_b)(R~ C_b)^T, so
+        neither G nor R~ coef_out is formed."""
         w = np.clip(np.asarray(w, dtype=float), 0.0, None)
         if self.group_grams is not None:
             return np.tensordot(w, self.group_grams, axes=1)
-        return column_gram(self.coef_rows, np.sqrt(w))
+        return column_gram(self.coef_rows, w, left=self.r_factor)
 
     def _core_eigh(self, w):
         w = np.asarray(w, dtype=float)
         if self._last is not None and np.array_equal(self._last[0], w):
             return self._last[1], self._last[2]
-        core = self.weighted_gram(w)
-        if self.group_grams is None:
-            core = self.r_factor @ core @ self.r_factor.T
-        lam, vec = sym_eigh(core, "posterior core")
+        lam, vec = sym_eigh(self.weighted_gram(w), "posterior core")
         self._last = (w.copy(), lam, vec)
         return lam, vec
 

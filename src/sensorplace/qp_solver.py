@@ -5,17 +5,20 @@ Solves
     min  g^T p + 1/2 p^T H p
     s.t. box_low <= p <= box_high,  sum(p) <= budget_rhs,
 
-the subproblem shape produced by the SQP outer loop.  In constraint form
-A p >= b with A = (I; -I; -1^T) the primal-dual Newton step reduces to the
-normal equation
+the subproblem shape produced by the SQP outer loop.  The iterate works
+on the constraints' three blocks, never on stacked (2n+1)-vectors: p and
+the slacks and multipliers of the lower and upper bounds are n-vectors,
+updated in place, and those of the budget are scalars.  The primal-dual
+Newton step reduces to the normal equation
 
-    (H + D + d_b 1 1^T) dp = rhs,
+    (H + D + d_b 1 1^T) dp = y,
 
-where D is diagonal and d_b is a scalar, both from the slack/multiplier
-ratios.  Each iteration is a Mehrotra predictor-corrector step: an affine
-predictor, the adaptive centering sigma = (mu_aff / mu)^3 with the target
-sigma * mu floored at 0.1 tol, and a corrector carrying the second-order
-term ds_aff * dlam_aff, followed by one step length common to primal and
+where D = lam_low/s_low + lam_up/s_up is diagonal and d_b = lam_bud/s_bud
+a scalar, and y is assembled from the blocks' residuals.  Each iteration
+is a Mehrotra predictor-corrector step: an affine predictor, the adaptive
+centering sigma = (mu_aff / mu)^3 with the target sigma * mu floored at
+0.1 tol, and a corrector carrying the second-order term
+ds_aff * dlam_aff, followed by one step length common to primal and
 dual.  Both solves use the one normal-matrix operator built per iteration.
 
 H comes in factored form C^T Htilde C (rank N << n); the design
@@ -127,20 +130,10 @@ class QpSolution:
     residual_primal: float
 
 
-def _constraint_apply(p: np.ndarray) -> np.ndarray:
-    return np.concatenate([p, -p, [-p.sum()]])
-
-
-def _constraint_apply_t(y: np.ndarray, n: int) -> np.ndarray:
-    return y[:n] - y[n : 2 * n] - y[2 * n]
-
-
-def _rhs_vector(problem: QpProblem) -> np.ndarray:
-    return np.concatenate([problem.box_low, -problem.box_high, [-problem.budget_rhs]])
-
-
-def _max_abs(x: np.ndarray) -> float:
-    return float(max(x.max(), -x.min()))
+def _max_abs(x: np.ndarray, shift: float = 0.0) -> float:
+    """max |x + shift|, without forming x + shift: rounding is monotone,
+    so fl(max x + shift) is the largest fl(x_i + shift)."""
+    return float(max(x.max() + shift, -(x.min() + shift)))
 
 
 def _woodbury_rows(problem: QpProblem) -> np.ndarray:
@@ -162,22 +155,23 @@ def _woodbury_rows(problem: QpProblem) -> np.ndarray:
 class NormalMatrixAction:
     """Operator v -> (H + D + d_b 1 1^T) v and its inverse action.
 
-    The inverse uses the Woodbury identity against the rows W of the
-    truncated Hessian (pass ``wrows`` to reuse them across iterations),
-    then a Sherman-Morrison update for the rank-one budget term.
+    D is ``diag`` floored at DIAGONAL_FLOOR and d_b is ``budget_coeff``;
+    in the interior-point loop D = lam_low/s_low + lam_up/s_up and
+    d_b = lam_bud/s_bud.  The inverse uses the Woodbury identity against
+    the rows W of the truncated Hessian (pass ``wrows`` to reuse them
+    across iterations), then a Sherman-Morrison update for the rank-one
+    budget term.
     """
 
-    def __init__(self, problem: QpProblem, iterate: QpIterate, wrows=None):
-        n = problem.n
-        d = iterate.lam / iterate.s
-        self.diag = np.maximum(d[:n] + d[n : 2 * n], DIAGONAL_FLOOR)
-        self.budget_coeff = float(d[2 * n])
+    def __init__(self, problem: QpProblem, diag: np.ndarray, budget_coeff: float, wrows=None):
+        self.diag = np.maximum(diag, DIAGONAL_FLOOR)
+        self.budget_coeff = float(budget_coeff)
         self._wrows = _woodbury_rows(problem) if wrows is None else wrows
         self._dinv = 1.0 / self.diag
         self._small_chol = None
         if self._wrows.shape[0]:
             # the Woodbury core I + W D^{-1} W^T
-            core = np.eye(self._wrows.shape[0]) + column_gram(self._wrows, np.sqrt(self._dinv))
+            core = np.eye(self._wrows.shape[0]) + column_gram(self._wrows, self._dinv)
             try:
                 self._small_chol = np.linalg.cholesky(core)
             except np.linalg.LinAlgError as err:
@@ -185,8 +179,9 @@ class NormalMatrixAction:
                     "inner Woodbury system is singular",
                     {"size": self._wrows.shape[0]},
                 ) from err
-        # X^{-1} 1 and the denominator of the Sherman-Morrison update.
-        self._xinv_ones = self._solve_no_budget(np.ones(n))
+        # X^{-1} 1 (D^{-1} 1 = dinv) and the denominator of the
+        # Sherman-Morrison update.
+        self._xinv_ones = self._woodbury(self._dinv)
         self._sm_denom = float(self._xinv_ones.sum()) + 1.0 / self.budget_coeff
 
     def apply(self, v: np.ndarray) -> np.ndarray:
@@ -194,7 +189,10 @@ class NormalMatrixAction:
         return base + self.budget_coeff * v.sum()
 
     def _solve_no_budget(self, y: np.ndarray) -> np.ndarray:
-        dinv_y = y * self._dinv
+        return self._woodbury(y * self._dinv)
+
+    def _woodbury(self, dinv_y: np.ndarray) -> np.ndarray:
+        """(W^T W + D)^{-1} y from dinv_y = D^{-1} y."""
         if self._small_chol is None:
             return dinv_y
         t = self._wrows @ dinv_y
@@ -249,7 +247,7 @@ def starting_point(problem: QpProblem) -> QpIterate:
     if p.sum() > target:
         theta = min(0.99, (p.sum() - target) / (p.sum() - low_sum))
         p = p + theta * (low - p)
-    s = np.maximum(_constraint_apply(p) - _rhs_vector(problem), 1.0)
+    s = np.maximum(np.concatenate([p - low, high - p, [problem.budget_rhs - p.sum()]]), 1.0)
     lam = np.ones(2 * problem.n + 1)
     return QpIterate(p, s, lam)
 
@@ -261,10 +259,23 @@ def solve_qp(
 ) -> QpSolution:
     """Primal-dual interior-point solve to KKT tolerance ``tol``.
 
+    The iterate is p with the slacks and multipliers of the lower, upper
+    and budget constraints as three blocks, s_l, s_u, lam_l, lam_u
+    (n-vectors, updated in place) and s_b, lam_b (scalars); with
+    d = lam / s and the primal residuals r_l = p - s_l - box_low,
+    r_u = box_high - p - s_u, r_b = budget_rhs - 1^T p - s_b, every
+    Newton step solves (H + D + d_b 1 1^T) dp = y with D = d_l + d_u.
+
     Each iteration builds one ``NormalMatrixAction`` and solves with it
-    twice: an affine predictor (complementarity target 0), then a
-    corrector with the centering target max(sigma mu, 0.1 tol),
-    sigma = (mu_aff / mu)^3, and the second-order term ds_aff * dlam_aff.
+    twice: an affine predictor (complementarity target 0), whose reduced
+    right-hand side is
+
+        y_aff = -(H p + g) - d_l r_l + d_u r_u + d_b r_b,
+
+    then a corrector with the centering target max(sigma mu, 0.1 tol),
+    sigma = (mu_aff / mu)^3, and the second-order term ds_aff * dlam_aff:
+    with e = (target - ds_aff * dlam_aff) / s per block,
+    y_cor = y_aff + e_l - e_u - e_b.
     The floor keeps mu from racing past tol while the dual residual still
     needs accurate solves.  Primal and dual take one common step length,
     the fraction-to-boundary rule applied to slacks and multipliers
@@ -273,55 +284,81 @@ def solve_qp(
 
     Stops when max(||r_d||_inf, ||r_p||_inf, mu) <= tol; raises
     NumericalFailure as soon as mu, r_d or r_p is not finite, and
-    NonconvergenceError past ``max_iter``.
+    NonconvergenceError past ``max_iter``.  ValueError unless tol is
+    positive and finite and max_iter >= 1.  ``QpSolution.lam`` stacks
+    (lam_l, lam_u, lam_b).
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
+    if not max_iter >= 1:
+        raise ValueError("max_iter must be at least 1")
     n = problem.n
     wrows = _woodbury_rows(problem)  # rejects a non-PSD Hessian
     it = starting_point(problem)
-    b = _rhs_vector(problem)
     target_floor = CENTERING_FLOOR * tol
+    m = 2 * n + 1
 
-    p, s, lam = it.p, it.s, it.lam
-    m = s.size
+    # (lower, upper, budget) blocks; the vector blocks are updated in place
+    p = it.p
+    s = [it.s[:n], it.s[n : 2 * n], float(it.s[2 * n])]
+    lam = [it.lam[:n], it.lam[n : 2 * n], float(it.lam[2 * n])]
     last = {"mu": None, "r_dual": None, "r_primal": None}
     for k in range(max_iter):
         # The truncated H = W^T W throughout, so the Newton model and the
         # residuals describe the same (PSD-perturbed) problem.
-        r_d = wrows.T @ (wrows @ p) + problem.g - _constraint_apply_t(lam, n)
-        r_p = _constraint_apply(p) - s - b
-        mu = float(s @ lam) / m
-        err_d = _max_abs(r_d)
-        err_p = _max_abs(r_p)
+        grad = wrows.T @ (wrows @ p)
+        grad += problem.g
+        r_d = grad - lam[0]  # the dual residual less its scalar lam_b
+        r_d += lam[1]
+        r_l = p - s[0]
+        r_l -= problem.box_low
+        r_u = problem.box_high - p
+        r_u -= s[1]
+        r_b = problem.budget_rhs - float(p.sum()) - s[2]
+        mu = _dot(s, lam) / m
+        err_d = _max_abs(r_d, lam[2])
+        err_p = max(_max_abs(r_l), _max_abs(r_u), abs(r_b))
         if not (math.isfinite(mu) and math.isfinite(err_d) and math.isfinite(err_p)):
             raise NumericalFailure(
                 f"interior-point iterate is not finite at iteration {k}",
                 {"iteration": k, **last},
             )
         if max(err_d, err_p, mu) <= tol:
-            return QpSolution(p, lam, k, mu, err_d, err_p)
+            return QpSolution(p, np.concatenate([lam[0], lam[1], [lam[2]]]), k, mu, err_d, err_p)
         last = {"mu": mu, "r_dual": err_d, "r_primal": err_p}
 
-        d = lam / s
-        action = NormalMatrixAction(problem, QpIterate(p, s, lam), wrows)
-        base = -r_d - _constraint_apply_t(d * r_p, n)
+        d = [lam[j] / s[j] for j in range(3)]
+        action = NormalMatrixAction(problem, d[0] + d[1], d[2], wrows)
 
-        def direction(q):
+        def direction(y, q):
             # Newton step whose complementarity rows read
-            # lam * ds + s * dlam = s * q.
-            dp = action.solve(base + _constraint_apply_t(q, n))
-            ds = _constraint_apply(dp) + r_p
-            return dp, ds, q - d * ds
+            # lam * ds + s * dlam = s * q; q (fresh blocks) becomes dlam.
+            dp = action.solve(y)
+            ds = [dp + r_l, r_u - dp, r_b - float(dp.sum())]
+            for j in range(3):
+                q[j] -= d[j] * ds[j]
+            return dp, ds, q
 
-        dp, ds, dlam = direction(-lam)
+        y = d[1] * r_u
+        y -= d[0] * r_l
+        y -= grad
+        y += d[2] * r_b
+        dp, ds, dlam = direction(y, [-lam[j] for j in range(3)])
         alpha = _step_to_boundary(s, ds, lam, dlam, 1.0)
-        mu_aff = (1.0 - alpha) * mu + alpha * alpha * float(ds @ dlam) / m
+        mu_aff = (1.0 - alpha) * mu + alpha * alpha * _dot(ds, dlam) / m
         target = max((mu_aff / mu) ** 3 * mu, target_floor)
-        dp, ds, dlam = direction((target - ds * dlam) / s - lam)
+        e = [(target - ds[j] * dlam[j]) / s[j] for j in range(3)]
+        y += e[0]
+        y -= e[1]
+        y -= e[2]
+        dp, ds, dlam = direction(y, [e[j] - lam[j] for j in range(3)])
 
         alpha = _step_to_boundary(s, ds, lam, dlam, BOUNDARY_FACTOR)
-        p = p + alpha * dp
-        s = s + alpha * ds
-        lam = lam + alpha * dlam
+        dp *= alpha
+        p += dp
+        for j in range(3):
+            s[j] += alpha * ds[j]
+            lam[j] += alpha * dlam[j]
 
     raise NonconvergenceError(
         f"interior-point solve did not reach tol={tol} in {max_iter} iterations",
@@ -329,10 +366,18 @@ def solve_qp(
     )
 
 
+def _dot(a, b) -> float:
+    """Inner product of two (lower, upper, budget) block triples."""
+    return float(a[0] @ b[0]) + float(a[1] @ b[1]) + a[2] * b[2]
+
+
 def _step_to_boundary(s, ds, lam, dlam, factor: float) -> float:
-    """Common step length: ``factor`` times the largest step keeping
-    s and lam nonnegative, capped at 1."""
-    worst = min(float(np.min(ds / s)), float(np.min(dlam / lam)))
+    """Common step length: ``factor`` times the largest step keeping the
+    slack and multiplier blocks nonnegative, capped at 1."""
+    worst = min(
+        float((ds[0] / s[0]).min()), float((ds[1] / s[1]).min()), ds[2] / s[2],
+        float((dlam[0] / lam[0]).min()), float((dlam[1] / lam[1]).min()), dlam[2] / lam[2],
+    )
     if worst >= 0.0:
         return 1.0
     return min(1.0, -factor / worst)

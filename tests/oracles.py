@@ -2,13 +2,16 @@
 
 Everything here deliberately avoids the library's fast paths: dense
 linear algebra, exhaustive enumeration, and finite differences only.
+The one exception is ``stacked_solve_qp``, the reference for the block
+form of the interior-point loop, which shares the library's Newton
+operator so that both loops can be compared step for step.
 """
 
 import itertools
 
 import numpy as np
 
-from sensorplace import BayesSetup, DesignWeights, dense_objective_value
+from sensorplace import BayesSetup, DesignWeights, dense_objective_value, qp_solver
 
 
 def enumerate_box_budget_qp(g, hess, box_low, box_high, budget_rhs):
@@ -164,3 +167,64 @@ def dense_value_fn(f_matrix, setup, row_group=None):
         )
 
     return fn
+
+
+def stacked_solve_qp(problem, tol=1e-8, max_iter=100):
+    """The interior-point loop of ``qp_solver.solve_qp`` on stacked
+    (2n+1)-vectors, as the reference for its block form.
+
+    The constraints are A p >= b with A = (I; -I; -1^T) and
+    b = (box_low; -box_high; -budget_rhs); slacks s and multipliers lam
+    are (2n+1)-vectors and every Newton right-hand side is assembled as
+    -r_d - A^T (d r_p) + A^T q.  It shares the library's starting point,
+    truncated Hessian rows, normal-matrix operator and constants, so both
+    loops take the same Newton steps up to round-off.  Returns
+    (p, lam, iterations).
+    """
+    n = problem.n
+
+    def apply_a(p):
+        return np.concatenate([p, -p, [-p.sum()]])
+
+    def apply_at(y):
+        return y[:n] - y[n : 2 * n] - y[2 * n]
+
+    def step_to_boundary(s, ds, lam, dlam, factor):
+        worst = min(float(np.min(ds / s)), float(np.min(dlam / lam)))
+        return 1.0 if worst >= 0.0 else min(1.0, -factor / worst)
+
+    def max_abs(x):
+        return float(np.abs(x).max())
+
+    wrows = qp_solver._woodbury_rows(problem)
+    it = qp_solver.starting_point(problem)
+    b = np.concatenate([problem.box_low, -problem.box_high, [-problem.budget_rhs]])
+    target_floor = qp_solver.CENTERING_FLOOR * tol
+    p, s, lam = it.p, it.s, it.lam
+    m = s.size
+    for k in range(max_iter):
+        r_d = wrows.T @ (wrows @ p) + problem.g - apply_at(lam)
+        r_p = apply_a(p) - s - b
+        mu = float(s @ lam) / m
+        if max(max_abs(r_d), max_abs(r_p), mu) <= tol:
+            return p, lam, k
+        d = lam / s
+        action = qp_solver.NormalMatrixAction(problem, d[:n] + d[n : 2 * n], d[2 * n], wrows)
+        base = -r_d - apply_at(d * r_p)
+
+        def direction(q):
+            # lam * ds + s * dlam = s * q
+            dp = action.solve(base + apply_at(q))
+            ds = apply_a(dp) + r_p
+            return dp, ds, q - d * ds
+
+        dp, ds, dlam = direction(-lam)
+        alpha = step_to_boundary(s, ds, lam, dlam, 1.0)
+        mu_aff = (1.0 - alpha) * mu + alpha * alpha * float(ds @ dlam) / m
+        target = max((mu_aff / mu) ** 3 * mu, target_floor)
+        dp, ds, dlam = direction((target - ds * dlam) / s - lam)
+        alpha = step_to_boundary(s, ds, lam, dlam, qp_solver.BOUNDARY_FACTOR)
+        p = p + alpha * dp
+        s = s + alpha * ds
+        lam = lam + alpha * dlam
+    raise AssertionError(f"stacked reference did not converge in {max_iter} iterations")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import sensorplace
-from sensorplace import LowRankHessian, QpIterate, QpProblem
+from sensorplace import LowRankHessian, QpProblem
 from sensorplace.gram import COLUMN_BLOCK, cut_mask
 from sensorplace.qp_solver import NormalMatrixAction
 
@@ -18,9 +18,7 @@ def test_woodbury_core_matches_dense(rng):
     root = rng.normal(size=(5, 5))
     hess = LowRankHessian(rng.normal(size=(5, n)), root.T @ root)
     problem = QpProblem(np.zeros(n), hess, np.zeros(n), np.ones(n), n / 2)
-    iterate = QpIterate(np.full(n, 0.5), rng.uniform(0.1, 2.0, 2 * n + 1),
-                        rng.uniform(0.1, 2.0, 2 * n + 1))
-    action = NormalMatrixAction(problem, iterate)
+    action = NormalMatrixAction(problem, rng.uniform(0.1, 4.0, n), rng.uniform(0.1, 2.0))
     w, dinv = action._wrows, action._dinv
     dense = np.eye(w.shape[0]) + (w * dinv) @ w.T
     chol = action._small_chol

@@ -19,6 +19,7 @@ from sensorplace import (
     dense_objective_value,
     gaussian_difference_kernel,
     integrality_gap,
+    objective,
     product_exponential_kernel,
     shared_engine,
     solve_relaxed,
@@ -340,13 +341,36 @@ class TestSharedEngine:
         engine = PosteriorEngine(lowrank, setup)
         w = rng.uniform(0.0, 1.0, n)
         c = lowrank.coef_out
-        gram = (c * w) @ c.T
-        assert np.abs(engine.weighted_gram(w) - gram).max() <= 1e-13 * np.abs(gram).max()
+        r = engine.r_factor
+        core = r @ ((c * w) @ c.T) @ r.T  # R~ G R~^T
+        assert np.abs(engine.weighted_gram(w) - core).max() <= 1e-13 * np.abs(core).max()
         _, deriv = engine.derivatives(w)
         # g_i = -sigma2 c_i^T M2 c_i (A), -c_i^T M1 c_i (D)
         m, scale = (deriv.m2, 1.7) if criterion == "A" else (deriv.m1, 1.0)
         grad = -scale * np.einsum("ij,ij->j", c, m @ c)
         assert np.abs(deriv.gradient - grad).max() <= 1e-13 * np.abs(grad).max()
+
+    def test_ungrouped_core_is_formed_on_rho_rows(self, rng, monkeypatch):
+        # an input factor of rank 4 < N_out = 9: the core is formed as the
+        # rho x rho Gram of R~ coef_out, and no N_out x N_out Gram is formed
+        n_nodes, n = 9, COLUMN_BLOCK + 5
+        node_values = rng.normal(size=(n_nodes, 4)) @ rng.normal(size=(4, n_nodes))
+        lowrank = LowRankKernel(rng.normal(size=(n_nodes, n)), node_values,
+                                rng.normal(size=(n_nodes, n)))
+        engine = PosteriorEngine(lowrank, BayesSetup(alpha=0.3))
+        rho = engine.r_factor.shape[0]
+        assert rho == 4
+        shapes = []
+        gram = objective.column_gram
+
+        def recording(*args, **kwargs):
+            out = gram(*args, **kwargs)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(objective, "column_gram", recording)
+        engine.value(rng.uniform(0.0, 1.0, n))
+        assert shapes == [(rho, rho)]
 
 
 class TestGroupReduce:

@@ -14,8 +14,9 @@ from sensorplace import (
     solve_qp,
     starting_point,
 )
+from sensorplace.gram import COLUMN_BLOCK
 from sensorplace.qp_solver import NormalMatrixAction, truncated_core
-from oracles import enumerate_box_budget_qp
+from oracles import enumerate_box_budget_qp, stacked_solve_qp
 
 
 def random_problem(rng, n, factored=False, n_nodes=4):
@@ -31,6 +32,13 @@ def random_problem(rng, n, factored=False, n_nodes=4):
     high = low + rng.uniform(0.5, 1.5, n)
     rhs = rng.uniform(low.sum() + 0.3, high.sum())
     return QpProblem(g, hess, low, high, rhs)
+
+
+def action_at(prob, it):
+    """The normal-matrix operator at a stacked iterate."""
+    n = prob.n
+    d = it.lam / it.s
+    return NormalMatrixAction(prob, d[:n] + d[n : 2 * n], d[2 * n])
 
 
 class TestExamples:
@@ -82,19 +90,17 @@ class TestKktContract:
         )
         assert np.abs(slack * sol.lam).max() <= 10.0 * tol
 
-    def test_mu_decreases_on_well_conditioned_instance(self, monkeypatch):
+    def test_mu_decreases_on_well_conditioned_instance(self):
         n = 10
         prob = QpProblem(np.linspace(-1, 1, n), np.eye(n), np.zeros(n), np.ones(n), 4.0)
+        its = solve_qp(prob).iterations
+        # mu of iterate k - 1 is the one the NonconvergenceError of
+        # max_iter = k carries: every iterate that did not stop
         recorded = []
-
-        class RecordingAction(NormalMatrixAction):
-            # Built once per iteration that does not stop, at its iterate.
-            def __init__(self, problem, iterate, *args, **kwargs):
-                recorded.append(iterate.mu)
-                super().__init__(problem, iterate, *args, **kwargs)
-
-        monkeypatch.setattr(qp_solver, "NormalMatrixAction", RecordingAction)
-        solve_qp(prob)
+        for k in range(1, its + 1):
+            with pytest.raises(NonconvergenceError) as err:
+                solve_qp(prob, max_iter=k)
+            recorded.append(err.value.residuals["mu"])
         mu = np.array(recorded)
         assert np.all(mu[1:] <= 0.99 * mu[:-1])
 
@@ -119,7 +125,7 @@ class TestStructuredPath:
         prob = random_problem(rng, n)
         prob.hess = fact
         it = starting_point(prob)
-        action = NormalMatrixAction(prob, it)
+        action = action_at(prob, it)
         v = rng.normal(size=n)
         # against the explicit matrix
         d = it.lam / it.s
@@ -132,7 +138,7 @@ class TestStructuredPath:
         prob = random_problem(rng, n)
         prob.hess = fact
         it = starting_point(prob)
-        action = NormalMatrixAction(prob, it)
+        action = action_at(prob, it)
         d = it.lam / it.s
         x = (
             fact.dense()
@@ -153,10 +159,54 @@ class TestStructuredPath:
     def test_apply_solve_roundtrip(self, rng):
         prob = random_problem(rng, 50, factored=True, n_nodes=9)
         it = starting_point(prob)
-        action = NormalMatrixAction(prob, it)
+        action = action_at(prob, it)
         for _ in range(3):
             v = rng.normal(size=50)
             assert np.abs(action.apply(action.solve(v)) - v).max() < 1e-8
+
+
+def equivalence_problem(hess_kind, budget, n, seed):
+    rng = np.random.default_rng(seed)
+    if hess_kind == "dense":
+        root = rng.normal(size=(n, n))
+        hess = root.T @ root / n + 0.1 * np.eye(n)
+    else:
+        coef = rng.normal(size=(6, n))
+        root = rng.normal(size=(6, 6))
+        core = np.zeros((6, 6)) if hess_kind == "zero" else root.T @ root / n
+        hess = LowRankHessian(coef, core)
+    low = -rng.uniform(0.0, 1.0, n)
+    high = low + rng.uniform(0.5, 1.5, n)
+    if budget == "active":
+        g = -rng.uniform(0.5, 1.5, n)  # every coordinate wants to rise
+        rhs = low.sum() + 0.3 * (high - low).sum()
+    else:
+        g = rng.normal(size=n)
+        rhs = high.sum() + 1.0
+    return QpProblem(g, hess, low, high, rhs)
+
+
+class TestBlockFormMatchesStackedLoop:
+    """The block-form loop against the stacked (2n+1)-vector reference:
+    the same Newton steps, so the same iteration count and p to 1e-9."""
+
+    @pytest.mark.parametrize("budget", ["active", "slack"])
+    @pytest.mark.parametrize(
+        "hess_kind, n",
+        [("dense", 12), ("dense", 40), ("factored", 60), ("factored", 2 * COLUMN_BLOCK + 17),
+         ("zero", 60), ("zero", 2 * COLUMN_BLOCK + 17)],
+    )
+    def test_same_iterations_and_step(self, hess_kind, n, budget):
+        prob = equivalence_problem(hess_kind, budget, n, seed=n)
+        sol = solve_qp(prob)
+        p_ref, lam_ref, iterations = stacked_solve_qp(prob)
+        assert sol.iterations == iterations
+        assert np.abs(sol.p - p_ref).max() <= 1e-9
+        assert sol.lam.shape == lam_ref.shape == (2 * n + 1,)
+        if budget == "active":
+            assert sol.lam[-1] > 1e-3
+        else:
+            assert prob.budget_rhs - sol.p.sum() > 0.5
 
 
 @st.composite
@@ -253,6 +303,16 @@ class TestStartingPoint:
 
 
 class TestErrors:
+    @pytest.mark.parametrize(
+        "bad",
+        [{"max_iter": 0}, {"max_iter": -1}, {"tol": 0.0}, {"tol": -1.0}, {"tol": np.nan},
+         {"tol": np.inf}],
+    )
+    def test_invalid_settings_rejected(self, rng, bad):
+        prob = random_problem(rng, 5)
+        with pytest.raises(ValueError, match="tol|max_iter"):
+            solve_qp(prob, **bad)
+
     def test_non_psd_rejected(self):
         n = 4
         hess = -np.eye(n)
