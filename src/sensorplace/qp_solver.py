@@ -109,7 +109,11 @@ class QpProblem:
 
 @dataclass
 class QpIterate:
-    """Interior-point state: primal p, slacks s > 0, multipliers lam > 0."""
+    """Interior-point state: primal p, slacks s > 0, multipliers lam > 0.
+
+    s and lam stack the (lower, upper, budget) blocks as (2n+1)-vectors;
+    ``solve_qp`` takes its start in this form and splits it into blocks.
+    """
 
     p: np.ndarray
     s: np.ndarray
@@ -188,9 +192,6 @@ class NormalMatrixAction:
         base = self._wrows.T @ (self._wrows @ v) + self.diag * v
         return base + self.budget_coeff * v.sum()
 
-    def _solve_no_budget(self, y: np.ndarray) -> np.ndarray:
-        return self._woodbury(y * self._dinv)
-
     def _woodbury(self, dinv_y: np.ndarray) -> np.ndarray:
         """(W^T W + D)^{-1} y from dinv_y = D^{-1} y."""
         if self._small_chol is None:
@@ -201,7 +202,7 @@ class NormalMatrixAction:
         return dinv_y - (self._wrows.T @ z) * self._dinv
 
     def _solve_once(self, y: np.ndarray) -> np.ndarray:
-        z = self._solve_no_budget(y)
+        z = self._woodbury(y * self._dinv)
         return z - self._xinv_ones * (z.sum() / self._sm_denom)
 
     def solve(self, y: np.ndarray) -> np.ndarray:
