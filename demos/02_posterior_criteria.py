@@ -4,7 +4,7 @@ The posterior covariance of the linear inverse problem is
 sigma2 * (F^T W F + alpha I)^(-1).  With the low-rank surrogate, its
 nonzero spectrum comes from a small node-space eigenproblem, so criterion
 values, gradients, and the node-space Hessian cost O(n log^2 n) instead
-of O(n^3).
+of O(n^3).  The Hessian reaches the QP as a few rows W with H = W^T W.
 """
 
 import time
@@ -45,5 +45,5 @@ print(f"\nposterior spectrum: rank {lam.size}, largest eigenvalue {lam[0]:.4f}")
 
 _, deriv = engine.derivatives(weights.w)
 print(f"gradient entries (first 4): {np.round(deriv.gradient[:4], 8)}")
-print(f"interpolated node-space Hessian core shape: {deriv.hessian.core.shape} "
-      "(ungrouped design: the full Hessian is never materialized)")
+print(f"Hessian rows W (H = W^T W, cut from the node-space core): {deriv.hessian_rows.shape} "
+      "(the full Hessian is never materialized)")

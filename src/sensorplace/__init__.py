@@ -56,10 +56,10 @@ from .objective import (
     shared_engine,
 )
 from .qp_solver import (
-    LowRankHessian,
     QpIterate,
     QpProblem,
     QpSolution,
+    hessian_rows,
     solve_qp,
     starting_point,
 )

@@ -17,9 +17,11 @@ rows: ungrouped designs sum it over column blocks of coef_out as
 Grams.  Each design shape has one derivative
 route: ungrouped designs interpolate the gradient and Hessian from the
 node-space matrices M1, M2 (the paper's O(n log^2 n) route); grouped
-designs get the exact gradient of the surrogate and a rank-k factor of
-its exact Hessian, cut at ``HESSIAN_CUT``, from the rho x rho per-group
-Gram matrices, at O(n_w rho^2 min(n_w, rho^2)) per call.  The
+designs get the exact gradient of the surrogate and its exact Hessian
+from the rho x rho per-group Gram matrices, at
+O(n_w rho^2 min(n_w, rho^2)) per call.  Both hand the Hessian on as the
+rows W of ``QpProblem.rows``, H = W^T W cut at ``HESSIAN_CUT`` by
+``qp_solver.hessian_rows``.  The
 ``dense_*`` functions factor an explicit F and exist only as validation
 oracles on small problems.
 
@@ -36,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebyshev import LowRankKernel
-from .gram import HESSIAN_CUT, SPECTRUM_CUT, column_gram, column_sq_norms, cut_mask, sym_eigh
-from .qp_solver import LowRankHessian
+from . import qp_solver
+from .gram import SPECTRUM_CUT, column_gram, column_sq_norms, cut_mask, sym_eigh
 
 __all__ = [
     "DesignWeights",
@@ -129,17 +131,17 @@ class InterpolatedDerivatives:
 
     ``m1[i, j] = ftil_i^T (F_s^T W F_s + alpha I)^(-1) ftil_j`` and ``m2``
     the same with the squared inverse, where ftil_i are the columns of
-    coef_in^T node_values^T.  ``hessian`` is the weight Hessian in the
-    form ``QpProblem.hess`` takes: for ungrouped designs the interpolated
-    ``LowRankHessian(coef_rows, htilde)`` with node-space core htilde
+    coef_in^T node_values^T.  ``hessian_rows`` are the rows W (k x n_w)
+    that ``QpProblem.rows`` takes, with W^T W the weight Hessian cut at
+    ``HESSIAN_CUT``: for ungrouped designs the interpolated
+    coef_out^T htilde coef_out with node-space core htilde
     (2 sigma2 * m1 o m2 for the A-criterion, m1 o m1 for D); for grouped
-    designs ``LowRankHessian(W, I_k)``, a rank-k factor W^T W of the exact
-    Hessian, cut at ``HESSIAN_CUT``.  ``gradient`` has one entry per weight.
+    designs the exact Hessian.  ``gradient`` has one entry per weight.
     """
 
     m1: np.ndarray
     m2: np.ndarray
-    hessian: LowRankHessian
+    hessian_rows: np.ndarray
     gradient: np.ndarray
 
 
@@ -237,18 +239,19 @@ class PosteriorEngine:
         return _value_from_eigs(self.eigenvalues(w), self.setup, self.n_ambient)
 
     def derivatives(self, w):
-        """Objective value, per-weight gradient, and the weight Hessian.
+        """Objective value, per-weight gradient, and the weight Hessian's rows.
 
         With d1 = (alpha + lam)^(-1/2), d = (alpha + lam)^(-1) for the
         A-criterion (d = d1 for D) and a row's projection t_i = T c_i,
         the gradient entry is -sigma2 * sum_a d_a^2 t_i[a]^2 (D: no sigma2)
         and the Hessian core is 2 sigma2 * M1 o Md (D: M1 o M1).
-        Ungrouped: the Hessian is ``LowRankHessian(coef_rows, core)``,
-        interpolated in node space.  Grouped: with G^_k = T G_k T^T
+        Ungrouped: the Hessian coef_out^T core coef_out is interpolated in
+        node space, and its rows are cut from the core
+        (``qp_solver.hessian_rows``).  Grouped: with G^_k = T G_k T^T
         = V^T (R~ G_k R~^T) V,
         g_k = -sigma2 * sum_a d_a^2 G^_k[a, a] and the exact H = 2 sigma2 * X X^T,
-        X_k = vec(d1_a d_b G^_k[a, b]), reaches the QP as a rank-k factor
-        ``LowRankHessian(W, I_k)`` cut at ``HESSIAN_CUT`` (``_hessian_rows``).
+        X_k = vec(d1_a d_b G^_k[a, b]), reaches the QP as rank-k rows
+        (``_grouped_rows``).  Both cut at ``HESSIAN_CUT``.
         """
         setup = self.setup
         lam, vec = self._core_eigh(w)
@@ -268,34 +271,28 @@ class PosteriorEngine:
             d, md, g_scale, h_scale = d1, m1, 1.0, 1.0
         if self.group_grams is None:
             gradient = -g_scale * column_sq_norms(d[:, None] * t, self.coef_rows)
-            hessian = LowRankHessian(self.coef_rows, h_scale * (m1 * md))
+            rows = qp_solver.hessian_rows(h_scale * (m1 * md), self.coef_rows)
         else:
             ghat = vec.T @ self.group_grams @ vec  # (n_weights, rho, rho)
             gradient = -g_scale * np.einsum("kaa,a->k", ghat, d * d)
             x = (ghat * np.outer(d1, d)).reshape(self.n_weights, -1)
-            hessian = _hessian_rows(x, h_scale)
-        return value, InterpolatedDerivatives(m1, m2, hessian, gradient)
+            rows = _grouped_rows(x, h_scale)
+        return value, InterpolatedDerivatives(m1, m2, rows, gradient)
 
 
-def _hessian_rows(x: np.ndarray, scale: float) -> LowRankHessian:
-    """H = scale * X X^T as ``LowRankHessian(W, I_k)`` with W^T W the H
-    cut at ``HESSIAN_CUT``, the rule the QP applies to its core.
+def _grouped_rows(x: np.ndarray, scale: float) -> np.ndarray:
+    """Rows W with W^T W = scale * X X^T cut at ``HESSIAN_CUT``.
 
     Only the smaller of scale * X^T X and scale * X X^T, which share their
-    nonzero eigenvalues theta, is decomposed: with X^T X = V theta V^T the
-    rows are W = sqrt(scale) V_k^T X^T, with X X^T = U theta U^T they are
-    W = sqrt(theta_k) U_k^T.
+    nonzero eigenvalues theta, is decomposed (``qp_solver.truncated_core``):
+    with X^T X = V theta V^T the rows are W = sqrt(scale) V_k^T X^T, with
+    X X^T = U theta U^T they are W = sqrt(theta_k) U_k^T.
     """
     n_w, m = x.shape
     if m <= n_w:
-        theta, v = sym_eigh(scale * (x.T @ x), "grouped Hessian Gram")
-        v = v[:, cut_mask(theta, HESSIAN_CUT)]
-        rows = math.sqrt(scale) * (v.T @ x.T)
-    else:
-        theta, u = sym_eigh(scale * (x @ x.T), "grouped Hessian")
-        keep = cut_mask(theta, HESSIAN_CUT)
-        rows = np.sqrt(theta[keep])[:, None] * u[:, keep].T
-    return LowRankHessian(rows, np.eye(rows.shape[0]))
+        _, v = qp_solver.truncated_core(scale * (x.T @ x))
+        return math.sqrt(scale) * (v.T @ x.T)
+    return qp_solver.hessian_rows(scale * (x @ x.T))
 
 
 def shared_engine(lowrank: LowRankKernel, setup: BayesSetup, row_group=None) -> PosteriorEngine:

@@ -1,9 +1,10 @@
 """Sequential quadratic programming outer loop with backtracking line search.
 
 Each iteration builds the quadratic model of the design criterion at the
-current weights (gradient and Hessian from the surrogate, or exact dense
-ones in oracle mode), solves the box-plus-budget QP for a step p, and
-backtracks on the true objective until the sufficient-decrease condition
+current weights (gradient and Hessian rows from the surrogate, or exact
+dense ones cut to rows in oracle mode), solves the box-plus-budget QP for
+a step p, and backtracks on the true objective until the
+sufficient-decrease condition
 
     phi(w + a p) <= phi(w) + xi * a * g^T p
 
@@ -28,7 +29,7 @@ from .objective import (
     dense_objective_value,
     shared_engine,
 )
-from .qp_solver import QpProblem, solve_qp
+from .qp_solver import QpProblem, hessian_rows, solve_qp
 
 __all__ = ["SqpConfig", "SqpResult", "initial_point", "solve_relaxed"]
 
@@ -86,7 +87,7 @@ class _SurrogateObjective:
 
     def derivatives(self, w):
         value, deriv = self.engine.derivatives(w)
-        return value, deriv.gradient, deriv.hessian
+        return value, deriv.gradient, deriv.hessian_rows
 
 
 class _DenseObjective:
@@ -105,9 +106,10 @@ class _DenseObjective:
         return dense_objective_value(self.f, self._weights(w), self.setup)
 
     def derivatives(self, w):
-        return dense_objective_and_derivatives(
+        value, gradient, hessian = dense_objective_and_derivatives(
             self.f, self._weights(w), self.setup, oracle_cap=max(self.f.shape)
         )
+        return value, gradient, hessian_rows(hessian)
 
 
 def _make_model(kernel_matrix, setup, row_group):
@@ -128,7 +130,8 @@ def solve_relaxed(
     ``kernel_matrix`` is a LowRankKernel (surrogate mode) or a dense array
     (exact oracle mode).  Line-search objective values use the same route
     as the derivatives, so the Armijo test sees the function the model
-    describes.  QP failures propagate with the outer-iteration context.
+    describes.  Failures of the derivatives or the QP propagate with the
+    outer-iteration context.
     ``row_group`` (None: one weight per row) gives each row's weight;
     each weight owns one contiguous run of rows, numbered in row order.
 
@@ -150,15 +153,15 @@ def solve_relaxed(
     iterations = 0
 
     for k in range(config.max_outer):
-        current, g, hess = model.derivatives(w)
-        qp = QpProblem(
-            g=g,
-            hess=hess,
-            box_low=-w,
-            box_high=1.0 - w,
-            budget_rhs=budget - w.sum(),
-        )
         try:
+            current, g, rows = model.derivatives(w)
+            qp = QpProblem(
+                g=g,
+                rows=rows,
+                box_low=-w,
+                box_high=1.0 - w,
+                budget_rhs=budget - w.sum(),
+            )
             sol = solve_qp(qp, tol=QP_TOL, max_iter=QP_MAX_ITER)
         except NonconvergenceError as err:
             raise NonconvergenceError(
@@ -167,9 +170,11 @@ def solve_relaxed(
             ) from err
         except NumericalFailure as err:
             raise NumericalFailure(
-                f"QP subproblem failed at outer iteration {k}: {err}",
+                f"QP model or subproblem failed at outer iteration {k}: {err}",
                 err.diagnostics,
             ) from err
+        # the r x n Hessian rows are spent: free them before the line search
+        del rows, qp
         p = sol.p
         slope = float(g @ p)
         # Convexity bounds any decrease along p by |g^T p|; once that is

@@ -14,6 +14,12 @@ import numpy as np
 from sensorplace import BayesSetup, DesignWeights, dense_objective_value, qp_solver
 
 
+def dense_hessian(rows):
+    """The dense H = W^T W of a QP's Hessian rows, for the enumeration oracle."""
+    rows = np.asarray(rows, dtype=float)
+    return rows.T @ rows
+
+
 def enumerate_box_budget_qp(g, hess, box_low, box_high, budget_rhs):
     """Global minimizer of the box-plus-budget QP by active-set enumeration.
 
@@ -177,7 +183,7 @@ def stacked_solve_qp(problem, tol=1e-8, max_iter=100):
     b = (box_low; -box_high; -budget_rhs); slacks s and multipliers lam
     are (2n+1)-vectors and every Newton right-hand side is assembled as
     -r_d - A^T (d r_p) + A^T q.  It shares the library's starting point,
-    truncated Hessian rows, normal-matrix operator and constants, so both
+    the problem's Hessian rows, normal-matrix operator and constants, so both
     loops take the same Newton steps up to round-off.  Returns
     (p, lam, iterations).
     """
@@ -196,7 +202,7 @@ def stacked_solve_qp(problem, tol=1e-8, max_iter=100):
     def max_abs(x):
         return float(np.abs(x).max())
 
-    wrows = qp_solver._woodbury_rows(problem)
+    wrows = problem.rows
     it = qp_solver.starting_point(problem)
     b = np.concatenate([problem.box_low, -problem.box_high, [-problem.budget_rhs]])
     target_floor = qp_solver.CENTERING_FLOOR * tol
@@ -209,7 +215,7 @@ def stacked_solve_qp(problem, tol=1e-8, max_iter=100):
         if max(max_abs(r_d), max_abs(r_p), mu) <= tol:
             return p, lam, k
         d = lam / s
-        action = qp_solver.NormalMatrixAction(problem, d[:n] + d[n : 2 * n], d[2 * n], wrows)
+        action = qp_solver.NormalMatrixAction(problem, d[:n] + d[n : 2 * n], d[2 * n])
         base = -r_d - apply_at(d * r_p)
 
         def direction(q):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import sensorplace
-from sensorplace import LowRankHessian, QpProblem
+from sensorplace import QpProblem, hessian_rows
 from sensorplace.gram import COLUMN_BLOCK, cut_mask
 from sensorplace.qp_solver import NormalMatrixAction
 
@@ -16,8 +16,8 @@ from sensorplace.qp_solver import NormalMatrixAction
 def test_woodbury_core_matches_dense(rng):
     n = 2 * COLUMN_BLOCK + 17  # a ragged last block
     root = rng.normal(size=(5, 5))
-    hess = LowRankHessian(rng.normal(size=(5, n)), root.T @ root)
-    problem = QpProblem(np.zeros(n), hess, np.zeros(n), np.ones(n), n / 2)
+    rows = hessian_rows(root.T @ root, rng.normal(size=(5, n)))
+    problem = QpProblem(np.zeros(n), rows, np.zeros(n), np.ones(n), n / 2)
     action = NormalMatrixAction(problem, rng.uniform(0.1, 4.0, n), rng.uniform(0.1, 2.0))
     w, dinv = action._wrows, action._dinv
     dense = np.eye(w.shape[0]) + (w * dinv) @ w.T

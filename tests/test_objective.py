@@ -6,7 +6,6 @@ from sensorplace import (
     BayesSetup,
     DesignWeights,
     LidarConfig,
-    LowRankHessian,
     LowRankKernel,
     NumericalFailure,
     PosteriorEngine,
@@ -208,7 +207,7 @@ class TestInterpolatedDerivatives:
         weights = feasible_weights(rng, n)
         setup = BayesSetup(alpha=1.0, criterion="A")
         _, deriv = PosteriorEngine(lowrank, setup).derivatives(weights.w)
-        h_interp = deriv.hessian.dense()
+        h_interp = deriv.hessian_rows.T @ deriv.hessian_rows
         _, _, h_dense = dense_objective_and_derivatives(lowrank.dense(), weights, setup)
         assert np.abs(h_interp - h_dense).max() <= 1e-4 * max(1.0, np.abs(h_dense).max())
 
@@ -218,7 +217,9 @@ class TestInterpolatedDerivatives:
         for criterion in ("A", "D"):
             setup = BayesSetup(alpha=0.2, criterion=criterion)
             _, deriv = PosteriorEngine(lowrank, setup).derivatives(weights.w)
-            eigs = np.linalg.eigvalsh(deriv.hessian.core)
+            # the node-space core, up to its positive scale
+            core = deriv.m1 * (deriv.m2 if criterion == "A" else deriv.m1)
+            eigs = np.linalg.eigvalsh(core)
             assert eigs.min() >= -1e-10 * max(eigs.max(), 1e-30)
 
 
@@ -455,24 +456,23 @@ class TestGroupedEngine:
             _, deriv = PosteriorEngine(lowrank, setup, row_group).derivatives(w)
             weights = DesignWeights(w, float(n_w), row_group=row_group)
             _, grad, hess = dense_objective_and_derivatives(lowrank.dense(), weights, setup)
-            assert deriv.hessian.dense().shape == (n_w, n_w)
+            h = deriv.hessian_rows.T @ deriv.hessian_rows
+            assert h.shape == (n_w, n_w)
             assert np.abs(deriv.gradient - grad).max() <= 1e-10 * np.abs(grad).max()
-            assert np.abs(deriv.hessian.dense() - hess).max() <= 1e-10 * np.abs(hess).max()
-            eigs = np.linalg.eigvalsh(deriv.hessian.dense())
+            assert np.abs(h - hess).max() <= 1e-10 * np.abs(hess).max()
+            eigs = np.linalg.eigvalsh(h)
             assert eigs.min() >= -1e-12 * eigs.max()
 
     def test_hessian_is_rank_sized_factor(self, rng):
-        # k rows W with H = W^T W and an identity core, k <= min(n_w, rho^2)
+        # k rows W with H = W^T W, k <= min(n_w, rho^2)
         for lowrank, row_group in self.grouped_cases(rng):
             n_w = int(row_group.max()) + 1
             rho = lowrank.input_r.shape[0]
             engine = PosteriorEngine(lowrank, BayesSetup(alpha=0.4), row_group)
             _, deriv = engine.derivatives(rng.uniform(0.1, 0.9, n_w))
-            assert isinstance(deriv.hessian, LowRankHessian)
-            k = deriv.hessian.coef.shape[0]
+            k = deriv.hessian_rows.shape[0]
             assert 0 < k <= min(n_w, rho**2)
-            assert deriv.hessian.coef.shape == (k, n_w)
-            assert np.array_equal(deriv.hessian.core, np.eye(k))
+            assert deriv.hessian_rows.shape == (k, n_w)
 
     def test_solve_never_decomposes_an_n_w_matrix(self, rng, monkeypatch):
         row_group = self.WIDE_GROUP
@@ -548,10 +548,8 @@ class TestCutInputFactor:
             ref_value, ref_deriv = reference.derivatives(w)
             assert value == pytest.approx(ref_value, rel=1e-12)
             assert self.close(deriv.gradient, ref_deriv.gradient)
-            if row_group is None:
-                assert self.close(deriv.hessian.core, ref_deriv.hessian.core)
-            else:
-                assert self.close(deriv.hessian.dense(), ref_deriv.hessian.dense())
+            h, ref_h = (d.hessian_rows.T @ d.hessian_rows for d in (deriv, ref_deriv))
+            assert self.close(h, ref_h)
 
 
 class TestStructuralProperties:

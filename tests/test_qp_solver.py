@@ -6,32 +6,32 @@ from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from sensorplace import (
-    LowRankHessian,
     NonconvergenceError,
     NumericalFailure,
     QpProblem,
+    hessian_rows,
     qp_solver,
     solve_qp,
     starting_point,
 )
 from sensorplace.gram import COLUMN_BLOCK
-from sensorplace.qp_solver import NormalMatrixAction, truncated_core
-from oracles import enumerate_box_budget_qp, stacked_solve_qp
+from sensorplace.qp_solver import NormalMatrixAction
+from oracles import dense_hessian, enumerate_box_budget_qp, stacked_solve_qp
 
 
 def random_problem(rng, n, factored=False, n_nodes=4):
     if factored:
         coef = rng.normal(size=(n_nodes, n))
         root = rng.normal(size=(n_nodes, n_nodes))
-        hess = LowRankHessian(coef, root.T @ root)
+        rows = hessian_rows(root.T @ root, coef)
     else:
         root = rng.normal(size=(n, n))
-        hess = root.T @ root + 0.1 * np.eye(n)
+        rows = hessian_rows(root.T @ root + 0.1 * np.eye(n))
     g = rng.normal(size=n)
     low = rng.uniform(-1.0, 0.0, n)
     high = low + rng.uniform(0.5, 1.5, n)
     rhs = rng.uniform(low.sum() + 0.3, high.sum())
-    return QpProblem(g, hess, low, high, rhs)
+    return QpProblem(g, rows, low, high, rhs)
 
 
 def action_at(prob, it):
@@ -61,7 +61,7 @@ class TestExamples:
             n = int(rng.integers(2, 7))
             prob = random_problem(rng, n)
             p_star, _ = enumerate_box_budget_qp(
-                prob.g, prob.hess, prob.box_low, prob.box_high, prob.budget_rhs
+                prob.g, dense_hessian(prob.rows), prob.box_low, prob.box_high, prob.budget_rhs
             )
             sol = solve_qp(prob, tol=1e-10)
             assert np.abs(sol.p - p_star).max() < 1e-6
@@ -114,16 +114,16 @@ class TestStructuredPath:
             low = -rng.uniform(0.2, 1.0, n)
             high = rng.uniform(0.2, 1.0, n)
             rhs = rng.uniform(low.sum() + 0.5, high.sum())
-            fact = LowRankHessian(coef, root.T @ root)
-            s_struct = solve_qp(QpProblem(g, fact, low, high, rhs))
-            s_dense = solve_qp(QpProblem(g, fact.dense(), low, high, rhs))
+            core = root.T @ root
+            s_struct = solve_qp(QpProblem(g, hessian_rows(core, coef), low, high, rhs))
+            s_dense = solve_qp(QpProblem(g, hessian_rows(coef.T @ core @ coef), low, high, rhs))
             assert np.abs(s_struct.p - s_dense.p).max() < 1e-6
 
     def test_zero_core_is_diagonal_plus_rank_one(self, rng):
         n = 25
-        fact = LowRankHessian(rng.normal(size=(3, n)), np.zeros((3, 3)))
         prob = random_problem(rng, n)
-        prob.hess = fact
+        prob.rows = hessian_rows(np.zeros((3, 3)), rng.normal(size=(3, n)))
+        assert prob.rows.shape == (0, n)
         it = starting_point(prob)
         action = action_at(prob, it)
         v = rng.normal(size=n)
@@ -134,14 +134,14 @@ class TestStructuredPath:
 
     def test_rank_one_core_matches_dense_inverse(self, rng):
         n = 15
-        fact = LowRankHessian(rng.normal(size=(1, n)), np.array([[2.0]]))
+        coef = rng.normal(size=(1, n))
         prob = random_problem(rng, n)
-        prob.hess = fact
+        prob.rows = hessian_rows(np.array([[2.0]]), coef)
         it = starting_point(prob)
         action = action_at(prob, it)
         d = it.lam / it.s
         x = (
-            fact.dense()
+            2.0 * coef.T @ coef
             + np.diag(np.maximum(d[:n] + d[n : 2 * n], 1e-14))
             + d[2 * n] * np.ones((n, n))
         )
@@ -153,7 +153,8 @@ class TestStructuredPath:
         # program picks the two steepest coordinates.
         n = 6
         g = -np.array([3.0, 2.5, 1.0, 0.5, 0.25, 0.1])
-        sol = solve_qp(QpProblem(g, np.zeros((n, n)), np.zeros(n), np.ones(n), 2.0), tol=1e-10)
+        rows = hessian_rows(np.zeros((n, n)))
+        sol = solve_qp(QpProblem(g, rows, np.zeros(n), np.ones(n), 2.0), tol=1e-10)
         assert_allclose(sol.p, [1.0, 1.0, 0.0, 0.0, 0.0, 0.0], atol=1e-8)
 
     def test_apply_solve_roundtrip(self, rng):
@@ -169,12 +170,12 @@ def equivalence_problem(hess_kind, budget, n, seed):
     rng = np.random.default_rng(seed)
     if hess_kind == "dense":
         root = rng.normal(size=(n, n))
-        hess = root.T @ root / n + 0.1 * np.eye(n)
+        rows = hessian_rows(root.T @ root / n + 0.1 * np.eye(n))
     else:
         coef = rng.normal(size=(6, n))
         root = rng.normal(size=(6, 6))
         core = np.zeros((6, 6)) if hess_kind == "zero" else root.T @ root / n
-        hess = LowRankHessian(coef, core)
+        rows = hessian_rows(core, coef)
     low = -rng.uniform(0.0, 1.0, n)
     high = low + rng.uniform(0.5, 1.5, n)
     if budget == "active":
@@ -183,7 +184,7 @@ def equivalence_problem(hess_kind, budget, n, seed):
     else:
         g = rng.normal(size=n)
         rhs = high.sum() + 1.0
-    return QpProblem(g, hess, low, high, rhs)
+    return QpProblem(g, rows, low, high, rhs)
 
 
 class TestBlockFormMatchesStackedLoop:
@@ -223,13 +224,14 @@ def box_budget_qps(draw):
     high = low + array(n, 0.5, 1.5)
     spare = high.sum() - low.sum() - 0.3
     rhs = low.sum() + 0.3 + draw(st.floats(0.0, 1.0)) * spare
-    return QpProblem(array(n, -2.0, 2.0), root.T @ root + 0.1 * np.eye(n), low, high, rhs)
+    rows = hessian_rows(root.T @ root + 0.1 * np.eye(n))
+    return QpProblem(array(n, -2.0, 2.0), rows, low, high, rhs)
 
 
 def strict_complementarity_margin(prob, p):
     """Smallest slack of an inactive constraint or multiplier of an active
     one at the optimum p; 0 when the multipliers are not unique."""
-    grad = prob.hess @ p + prob.g
+    grad = dense_hessian(prob.rows) @ p + prob.g
     at_low = np.abs(p - prob.box_low) <= 1e-9
     at_high = np.abs(p - prob.box_high) <= 1e-9
     free = ~(at_low | at_high)
@@ -257,7 +259,7 @@ class TestProperties:
         sol = solve_qp(prob, tol=1e-10)
         assert max(sol.residual_dual, sol.residual_primal, sol.mu) <= 1e-8
         p_star, _ = enumerate_box_budget_qp(
-            prob.g, prob.hess, prob.box_low, prob.box_high, prob.budget_rhs
+            prob.g, dense_hessian(prob.rows), prob.box_low, prob.box_high, prob.budget_rhs
         )
         assume(strict_complementarity_margin(prob, p_star) >= 1e-3)
         assert np.abs(sol.p - p_star).max() <= 1e-6
@@ -314,17 +316,20 @@ class TestErrors:
             solve_qp(prob, **bad)
 
     def test_non_psd_rejected(self):
-        n = 4
-        hess = -np.eye(n)
-        with pytest.raises(ValueError):
-            solve_qp(QpProblem(np.ones(n), hess, np.zeros(n), np.ones(n), 2.0))
+        with pytest.raises(ValueError, match="positive semi-definite"):
+            hessian_rows(-np.eye(4))
 
     # eigh may return NaN eigenvalues, which the cut would drop and leave
     # H = 0, or raise a bare LinAlgError
     @pytest.mark.parametrize("core", [[[1.0, np.nan], [np.nan, 1.0]], np.full((3, 3), np.nan)])
     def test_non_finite_core_rejected(self, core):
         with pytest.raises(NumericalFailure, match="Hessian core is not finite"):
-            truncated_core(np.array(core))
+            hessian_rows(np.array(core))
+
+    @pytest.mark.parametrize("rows", [np.ones(4), np.ones((2, 3)), np.ones((1, 2, 4))])
+    def test_rows_of_wrong_shape_rejected(self, rows):
+        with pytest.raises(ValueError, match="Hessian rows"):
+            QpProblem(np.ones(4), rows, np.zeros(4), np.ones(4), 2.0)
 
     def test_nonconvergence_carries_residuals(self, rng):
         prob = random_problem(rng, 8)
@@ -339,4 +344,12 @@ class TestErrors:
             solve_qp(prob)
         assert err.value.diagnostics["iteration"] == 0
         # no finite iterate came before the failure
+        assert err.value.diagnostics["r_dual"] is None
+
+    def test_non_finite_rows_fail_at_once(self, rng):
+        prob = random_problem(rng, 8, factored=True)
+        prob.rows[0, 3] = np.nan
+        with pytest.raises(NumericalFailure) as err:
+            solve_qp(prob)
+        assert err.value.diagnostics["iteration"] == 0
         assert err.value.diagnostics["r_dual"] is None

@@ -6,6 +6,7 @@ import sensorplace.sqp as sqp_module
 from sensorplace import (
     BayesSetup,
     LidarConfig,
+    LowRankKernel,
     NumericalFailure,
     RectDomain,
     SqpConfig,
@@ -16,6 +17,7 @@ from sensorplace import (
     dense_objective_value,
     gaussian_difference_kernel,
     initial_point,
+    qp_solver,
     scalar_kernel,
     solve_relaxed,
 )
@@ -204,6 +206,48 @@ class TestSolveRelaxed:
         for max_outer in (0, -3):
             with pytest.raises(ValueError, match="max_outer"):
                 SqpConfig(max_outer=max_outer)
+
+
+class TestOneHessianCutPerQp:
+    """Every QP's Hessian rows come from one ``qp_solver.truncated_core``
+    call, looked up on the module, where the benchmark's tracer counts
+    the QP core rank."""
+
+    @staticmethod
+    def cases():
+        """(kernel, setup, budget, row_group): an ungrouped surrogate, a
+        LIDAR problem (X X^T side) and two-row groups on more weights than
+        rho^2 (X^T X side)."""
+        mesh = build_mesh(RectDomain((-1.0,), (1.0,)), 30)
+        lowrank = build_lowrank(gaussian_difference_kernel(), mesh, mesh, 9)
+        yield lowrank, BayesSetup(alpha=0.1), 6.0, None
+        prob = build_lidar_problem(LidarConfig(n_d=8, n_r=3, n_x=6, n_t=2), 4.0)
+        yield prob.lowrank, prob.setup, float(prob.budget), prob.row_group
+        rng = np.random.default_rng(3)
+        wide = LowRankKernel(rng.normal(size=(3, 60)), rng.normal(size=(3, 3)),
+                             rng.normal(size=(3, 60)))
+        yield wide, BayesSetup(alpha=0.4), 8.0, np.repeat(np.arange(30), 2)
+
+    def test_one_truncated_core_call_per_qp(self, monkeypatch):
+        cores, qps = [], []
+        real_core, real_solve = qp_solver.truncated_core, sqp_module.solve_qp
+
+        def counting_core(*args, **kwargs):
+            cores.append(None)
+            return real_core(*args, **kwargs)
+
+        def counting_solve(*args, **kwargs):
+            qps.append(None)
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(qp_solver, "truncated_core", counting_core)
+        monkeypatch.setattr(sqp_module, "solve_qp", counting_solve)
+        for kernel, setup, budget, row_group in self.cases():
+            cores.clear()
+            qps.clear()
+            solve_relaxed(kernel, setup, budget, SqpConfig(epsilon=1e-8), row_group=row_group)
+            assert len(qps) >= 1
+            assert len(cores) == len(qps)
 
 
 class TestThinBudgetSlack:
