@@ -16,7 +16,6 @@ from sensorplace import BayesSetup, DesignWeights, dense_objective_value, qp_sol
 
 def dense_hessian(rows):
     """The dense H = W^T W of a QP's Hessian rows, for the enumeration oracle."""
-    rows = np.asarray(rows, dtype=float)
     return rows.T @ rows
 
 
