@@ -27,17 +27,36 @@ model then describe the same truncated H.
 The operator factors the small Woodbury core I + W D^{-1} W^T once per
 iteration, in O(n r^2), and adds a rank-one Sherman-Morrison update for
 the budget term; each solve then costs O(n r).
+
+At large n an iteration is bound by memory traffic, so it is laid out to
+stream each n-wide array as few times as it can.  The iterate is updated
+in place in the starting point's arrays, which the solution returns, and
+every other n-wide array of the loop and of its operator is a row of one
+workspace allocated once per ``solve_qp`` call, so an iteration
+allocates nothing wider than a column block.  The elementwise work runs
+in phases, each one loop over ``gram.COLUMN_BLOCK``-column slices:
+residuals with D and the predictor's right-hand side; the predictor's ds
+and dlam with the step ratios and ds^T dlam; the corrector's right-hand
+side; the corrector's ds and dlam with the step ratios; the update.  Products with W and W^T run over the
+full width, where BLAS threads them.  An iteration reads W 9 times: the
+pass that forms the Woodbury Gram with W D^{-1} 1, then per solve W x and
+W^T z, and the refinement check's W x and W^T (W x).  The first solve's
+W^T product also carries X^{-1} 1, and H p is carried from the
+corrector's check, H p + alpha H dp; a refinement step after that check
+costs 4 more passes and leaves H p to be formed afresh (2 passes) at the
+next iteration.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .exceptions import NonconvergenceError, NumericalFailure
-from .gram import HESSIAN_CUT, column_gram, cut_mask, sym_eigh
+from .gram import COLUMN_BLOCK, HESSIAN_CUT, cut_mask, sym_eigh
 
 __all__ = [
     "QpProblem",
@@ -102,7 +121,8 @@ class QpIterate:
     """Interior-point state: primal p, slacks s > 0, multipliers lam > 0.
 
     s and lam stack the (lower, upper, budget) blocks as (2n+1)-vectors;
-    ``solve_qp`` takes its start in this form and splits it into blocks.
+    ``solve_qp`` takes its start in this form, updates these arrays in
+    place as row-pair views, and returns them in its ``QpSolution``.
     """
 
     p: np.ndarray
@@ -112,18 +132,28 @@ class QpIterate:
 
 @dataclass
 class QpSolution:
+    """The stopping iterate: p, and the multipliers ``lam`` and slacks
+    ``s`` stacked as (lower, upper, budget); ``mu``, ``residual_dual``
+    and ``residual_primal`` are the residuals of that iterate."""
+
     p: np.ndarray
     lam: np.ndarray
+    s: np.ndarray
     iterations: int
     mu: float
     residual_dual: float
     residual_primal: float
 
 
-def _max_abs(x: np.ndarray, shift: float = 0.0) -> float:
-    """max |x + shift|, without forming x + shift: rounding is monotone,
-    so fl(max x + shift) is the largest fl(x_i + shift)."""
-    return float(max(x.max() + shift, -(x.min() + shift)))
+def _max_abs(top: float, bottom: float, shift: float = 0.0) -> float:
+    """max |x + shift| from max x and min x, without forming x + shift:
+    rounding is monotone, so fl(max x + shift) is the largest fl(x_i + shift)."""
+    return float(max(top + shift, -(bottom + shift)))
+
+
+def _blocks(n: int) -> list:
+    """COLUMN_BLOCK-column slices covering n columns."""
+    return [slice(j, j + COLUMN_BLOCK) for j in range(0, n, COLUMN_BLOCK)]
 
 
 class NormalMatrixAction:
@@ -134,56 +164,126 @@ class NormalMatrixAction:
     d_b = lam_bud/s_bud.  The inverse uses the Woodbury identity against
     the problem's rows W, then a Sherman-Morrison update for the rank-one
     budget term.
+
+    The operator's n-wide arrays are the ROWS rows of ``work``, a
+    (ROWS, n) buffer that ``solve_qp`` hands in from its workspace and
+    that is allocated here when omitted.  Products with W and W^T run
+    over the full width, where BLAS threads them; the elementwise work
+    between them runs in one COLUMN_BLOCK-blocked pass each.  After
+    ``solve``, ``x_sum`` is 1^T x of the returned x, and ``hx`` is H x
+    when the last refinement check formed it for that x (None when a
+    refinement step followed the check).
     """
 
-    def __init__(self, problem: QpProblem, diag: np.ndarray, budget_coeff: float):
-        self.diag = np.maximum(diag, DIAGONAL_FLOOR)
+    ROWS = 5
+
+    def __init__(self, problem: QpProblem, diag: np.ndarray, budget_coeff: float,
+                 work: np.ndarray | None = None):
+        if work is None:
+            work = np.empty((self.ROWS, problem.n))
+        self.diag, self._dinv, self._xinv_ones = work[:3]
+        # The refinement residual and H x.  The W^T products of the first
+        # solve (two vectors) and of a refinement step, and that step,
+        # also go to these rows, each used up before the rows are reused.
+        self._back = work[3:5]
+        self._residual, self._hx = self._back
         self.budget_coeff = float(budget_coeff)
-        self._wrows = problem.rows
-        self._dinv = 1.0 / self.diag
-        self._small_chol = None
-        if self._wrows.shape[0]:
+        self._wrows = wrows = problem.rows
+        self._blocks = _blocks(problem.n)
+        r = wrows.shape[0]
+        # One pass: floor D, invert it, and sum the Woodbury Gram
+        # W D^{-1} W^T and W D^{-1} 1, the forward product of X^{-1} 1.
+        gram = np.zeros((r, r))
+        self._w_dinv = np.zeros(r)
+        for b in self._blocks:
+            block = wrows[:, b]
+            dinv = np.maximum(diag[b], DIAGONAL_FLOOR, out=self.diag[b])
+            dinv = np.divide(1.0, dinv, out=self._dinv[b])
+            gram += (block * dinv) @ block.T
+            self._w_dinv += block @ dinv
+        try:
             # the Woodbury core I + W D^{-1} W^T
-            core = np.eye(self._wrows.shape[0]) + column_gram(self._wrows, self._dinv)
-            try:
-                self._small_chol = np.linalg.cholesky(core)
-            except np.linalg.LinAlgError as err:
-                raise NumericalFailure(
-                    "inner Woodbury system is singular",
-                    {"size": self._wrows.shape[0]},
-                ) from err
-        # X^{-1} 1 (D^{-1} 1 = dinv) and the denominator of the
-        # Sherman-Morrison update.
-        self._xinv_ones = self._woodbury(self._dinv)
-        self._sm_denom = float(self._xinv_ones.sum()) + 1.0 / self.budget_coeff
+            self._small_chol = np.linalg.cholesky(np.eye(r) + 0.5 * (gram + gram.T))
+        except np.linalg.LinAlgError as err:
+            raise NumericalFailure("inner Woodbury system is singular", {"size": r}) from err
+        # X^{-1} 1 and the Sherman-Morrison denominator 1^T X^{-1} 1 + 1/d_b
+        # come with the first solve, which shares its back product over W.
+        self._sm_denom = None
+        self.x_sum = None
+        self.hx = None
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         base = self._wrows.T @ (self._wrows @ v) + self.diag * v
         return base + self.budget_coeff * v.sum()
 
-    def _woodbury(self, dinv_y: np.ndarray) -> np.ndarray:
-        """(W^T W + D)^{-1} y from dinv_y = D^{-1} y."""
-        if self._small_chol is None:
-            return dinv_y
-        t = self._wrows @ dinv_y
-        z = np.linalg.solve(self._small_chol, t)
-        z = np.linalg.solve(self._small_chol.T, z)
-        return dinv_y - (self._wrows.T @ z) * self._dinv
+    def _solve_once(self, y: np.ndarray, out: np.ndarray) -> float:
+        """Write z = (W^T W + D)^{-1} y into ``out`` and return
+        c = 1^T z / (1^T X^{-1} 1 + 1/d_b): the solve of the whole
+        operator is z - c X^{-1} 1, which the caller's next pass applies
+        (``_settle``).  The first call also forms X^{-1} 1, its W^T
+        product sharing the call's back product."""
+        wrows, dinv = self._wrows, self._dinv
+        forward = wrows @ np.multiply(y, dinv, out=out)
+        first = self._sm_denom is None
+        rhs = np.column_stack([forward, self._w_dinv]) if first else forward[:, None]
+        coef = np.linalg.solve(self._small_chol, rhs)
+        coef = np.linalg.solve(self._small_chol.T, coef).T
+        back = np.matmul(coef, wrows, out=self._back[2 - coef.shape[0]:])
+        z_sum = ones_sum = 0.0
+        for b in self._blocks:
+            zb = out[b]
+            zb -= back[0, b] * dinv[b]
+            z_sum += zb.sum()
+            if first:
+                ones = np.subtract(dinv[b], back[1, b] * dinv[b], out=self._xinv_ones[b])
+                ones_sum += ones.sum()
+        if first:
+            self._sm_denom = float(ones_sum) + 1.0 / self.budget_coeff
+        return float(z_sum) / self._sm_denom
 
-    def _solve_once(self, y: np.ndarray) -> np.ndarray:
-        z = self._woodbury(y * self._dinv)
-        return z - self._xinv_ones * (z.sum() / self._sm_denom)
+    def _settle(self, x: np.ndarray, pending: tuple, b: slice) -> np.ndarray:
+        """Block b of x once the pending Sherman-Morrison update (row z,
+        coefficient c) is applied: z - c X^{-1} 1 is x itself or a
+        refinement step added to x."""
+        z, c = pending
+        zb = z[b]
+        zb -= self._xinv_ones[b] * c
+        xb = x[b]
+        if z is not x:
+            xb += zb
+        return xb
 
-    def solve(self, y: np.ndarray) -> np.ndarray:
+    def solve(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Inverse action with iterative refinement against the exact
-        operator; the Woodbury path loses digits when the interior-point
-        diagonal spans many orders of magnitude."""
-        x = self._solve_once(y)
-        for _ in range(REFINE_STEPS):
-            residual = y - self.apply(x)
-            if _max_abs(residual) <= 1e-14 * max(1.0, _max_abs(y)):
+        operator, into ``out`` when given; the Woodbury path loses digits
+        when the interior-point diagonal spans many orders of magnitude.
+
+        Each refinement check finishes x and sums it in one pass, forms
+        H x = W^T (W x), then the residual y - (H + D + d_b 1 1^T) x and
+        its extremes in a second pass."""
+        blocks = self._blocks
+        x = np.empty(y.shape) if out is None else out
+        pending = (x, self._solve_once(y, x))
+        for step in range(REFINE_STEPS + 1):
+            self.x_sum = float(sum(self._settle(x, pending, b).sum() for b in blocks))
+            if step == REFINE_STEPS:
                 break
-            x = x + self._solve_once(residual)
+            hx = np.matmul(self._wrows @ x, self._wrows, out=self._hx)
+            shift = self.budget_coeff * self.x_sum
+            worst = 0.0
+            for b in blocks:
+                res = np.multiply(self.diag[b], x[b], out=self._residual[b])
+                res += hx[b]
+                res += shift
+                np.subtract(y[b], res, out=res)
+                worst = np.maximum(worst, _max_abs(res.max(), res.min()))  # keeps a NaN
+            # max|res| <= 1e-14 max(1, max|y|), reading y only when the
+            # residual is above 1e-14
+            if worst <= 1e-14 or worst <= 1e-14 * _max_abs(y.max(), y.min()):
+                self.hx = hx
+                return x
+            pending = (self._residual, self._solve_once(self._residual, self._residual))
+        self.hx = None
         return x
 
 
@@ -272,78 +372,156 @@ def solve_qp(
     Stops when max(||r_d||_inf, ||r_p||_inf, mu) <= tol; raises
     NumericalFailure as soon as mu, r_d or r_p is not finite, and
     NonconvergenceError past ``max_iter``.  ValueError unless tol is
-    positive and finite and max_iter >= 1.  ``QpSolution.lam`` stacks
-    (lam_l, lam_u, lam_b).
+    positive and finite and max_iter >= 1.  ``QpSolution.lam`` and
+    ``.s`` stack (lam_l, lam_u, lam_b) and (s_l, s_u, s_b).
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     if not max_iter >= 1:
         raise ValueError("max_iter must be at least 1")
     n = problem.n
-    wrows = problem.rows
+    wrows, g, low, high = problem.rows, problem.g, problem.box_low, problem.box_high
     it = starting_point(problem)
     target_floor = CENTERING_FLOOR * tol
     m = 2 * n + 1
+    blocks = _blocks(n)
 
-    # (lower, upper, budget) blocks; the vector blocks are updated in place
+    # The iterate is updated in the starting point's arrays, which the
+    # solution returns; the lower and upper blocks of s and lam are row
+    # pairs of their stacked vectors, so one call covers both.  Every
+    # other n-wide array is a row of one workspace, r and dlam again as
+    # row pairs; the last NormalMatrixAction.ROWS rows are the
+    # operator's, its diag first.  ds = (dp + r_l, r_u - dp) is formed
+    # per block in one (2, COLUMN_BLOCK) buffer.
     p = it.p
-    s = [it.s[:n], it.s[n : 2 * n], float(it.s[2 * n])]
-    lam = [it.lam[:n], it.lam[n : 2 * n], float(it.lam[2 * n])]
+    s, s_b = it.s[: 2 * n].reshape(2, n), float(it.s[2 * n])
+    lam, lam_b = it.lam[: 2 * n].reshape(2, n), float(it.lam[2 * n])
+    work = np.empty((7 + NormalMatrixAction.ROWS, n))
+    hp, y, dp = work[0], work[1], work[2]
+    r, dlam = work[3:5], work[5:7]
+    action_work = work[7:]
+    ds_buffer = np.empty((2, min(n, COLUMN_BLOCK)))
+    arrays = {"p": p, "hp": hp, "y": y, "dp": dp, "diag": action_work[0], "g": g,
+              "low": low, "high": high, "s": s, "lam": lam, "r": r, "dlam": dlam}
+    for name in ("s", "lam", "r", "dlam"):
+        arrays[name + "_l"], arrays[name + "_u"] = arrays[name]
+    # each block's views of every array, made once
+    cols = []
+    for b in blocks:
+        c = SimpleNamespace(**{name: a[..., b] for name, a in arrays.items()})
+        c.ds = ds_buffer[:, : c.p.size]
+        c.ds_l, c.ds_u = c.ds
+        cols.append(c)
+    p_sum = float(p.sum())
+    hp_carried = False  # whether hp holds H p, carried from the last corrector
     last = {"mu": None, "r_dual": None, "r_primal": None}
     for k in range(max_iter):
-        grad = wrows.T @ (wrows @ p)
-        grad += problem.g
-        r_d = grad - lam[0]  # the dual residual less its scalar lam_b
-        r_d += lam[1]
-        r_l = p - s[0]
-        r_l -= problem.box_low
-        r_u = problem.box_high - p
-        r_u -= s[1]
-        r_b = problem.budget_rhs - float(p.sum()) - s[2]
-        mu = _dot(s, lam) / m
-        err_d = _max_abs(r_d, lam[2])
-        err_p = max(_max_abs(r_l), _max_abs(r_u), abs(r_b))
-        if not (math.isfinite(mu) and math.isfinite(err_d) and math.isfinite(err_p)):
+        # Residuals, D and the predictor's right-hand side, one pass.
+        if not hp_carried:
+            np.matmul(wrows @ p, wrows, out=hp)
+        r_b = problem.budget_rhs - p_sum - s_b
+        d_b = lam_b / s_b
+        stats = []
+        for c in cols:
+            grad = c.hp + c.g
+            r_d = grad - c.lam_l  # the dual residual less its scalar lam_b
+            r_d += c.lam_u
+            np.subtract(c.p, c.s_l, out=c.r_l)
+            np.subtract(c.r_l, c.low, out=c.r_l)
+            np.subtract(c.high, c.p, out=c.r_u)
+            np.subtract(c.r_u, c.s_u, out=c.r_u)
+            d = c.lam / c.s
+            np.add(d[0], d[1], out=c.diag)
+            d *= c.r
+            np.subtract(d[1], d[0], out=c.y)
+            np.subtract(c.y, grad, out=c.y)
+            np.add(c.y, d_b * r_b, out=c.y)
+            stats.append((r_d.max(), r_d.min(), c.r.max(), c.r.min(),
+                          c.s_l @ c.lam_l + c.s_u @ c.lam_u))
+        top_d, bottom_d, top_p, bottom_p, dots = zip(*stats)
+        mu = (float(sum(dots)) + s_b * lam_b) / m
+        err_d = _max_abs(max(top_d), min(bottom_d), lam_b)
+        err_p = max(_max_abs(max(top_p), min(bottom_p)), abs(r_b))
+        # every block's extremes, as max and min may pass over a NaN
+        if not (math.isfinite(mu) and np.isfinite(stats).all() and math.isfinite(err_p)):
             raise NumericalFailure(
                 f"interior-point iterate is not finite at iteration {k}",
                 {"iteration": k, **last},
             )
         if max(err_d, err_p, mu) <= tol:
-            return QpSolution(p, np.concatenate([lam[0], lam[1], [lam[2]]]), k, mu, err_d, err_p)
+            it.s[2 * n], it.lam[2 * n] = s_b, lam_b
+            return QpSolution(p, it.lam, it.s, k, mu, err_d, err_p)
         last = {"mu": mu, "r_dual": err_d, "r_primal": err_p}
 
-        d = [lam[j] / s[j] for j in range(3)]
-        action = NormalMatrixAction(problem, d[0] + d[1], d[2])
+        action = NormalMatrixAction(problem, arrays["diag"], d_b, work=action_work)
 
-        def direction(y, q):
-            # Newton step whose complementarity rows read
-            # lam * ds + s * dlam = s * q; q (fresh blocks) becomes dlam.
-            dp = action.solve(y)
-            ds = [dp + r_l, r_u - dp, r_b - float(dp.sum())]
-            for j in range(3):
-                q[j] -= d[j] * ds[j]
-            return dp, ds, q
-
-        y = d[1] * r_u
-        y -= d[0] * r_l
-        y -= grad
-        y += d[2] * r_b
-        dp, ds, dlam = direction(y, [-lam[j] for j in range(3)])
-        alpha = _step_to_boundary(s, ds, lam, dlam, 1.0)
-        mu_aff = (1.0 - alpha) * mu + alpha * alpha * _dot(ds, dlam) / m
+        # Affine predictor: ds = (dp + r_l, r_u - dp) and
+        # dlam = -lam - d ds = lam (-1 - ds/s), whose ratio to lam is
+        # -1 - ds/s, with the product ds * dlam (kept in dlam's rows) and
+        # its sum, one pass.
+        action.solve(y, out=dp)
+        ds_b = r_b - action.x_sum
+        dlam_b = -lam_b - d_b * ds_b
+        worst, dots = [ds_b / s_b, dlam_b / lam_b], 0.0
+        for c in cols:
+            np.add(c.dp, c.r_l, out=c.ds_l)
+            np.subtract(c.r_u, c.dp, out=c.ds_u)
+            ratio = c.ds / c.s
+            worst += ratio.min(), -1.0 - ratio.max()
+            np.subtract(-1.0, ratio, out=ratio)
+            np.multiply(c.lam, ratio, out=c.dlam)
+            np.multiply(c.ds, c.dlam, out=c.dlam)
+            dots += c.dlam.sum()
+        alpha = _step_length(worst, 1.0)
+        mu_aff = (1.0 - alpha) * mu + alpha * alpha * (float(dots) + ds_b * dlam_b) / m
         target = max((mu_aff / mu) ** 3 * mu, target_floor)
-        e = [(target - ds[j] * dlam[j]) / s[j] for j in range(3)]
-        y += e[0]
-        y -= e[1]
-        y -= e[2]
-        dp, ds, dlam = direction(y, [e[j] - lam[j] for j in range(3)])
 
-        alpha = _step_to_boundary(s, ds, lam, dlam, BOUNDARY_FACTOR)
-        dp *= alpha
-        p += dp
-        for j in range(3):
-            s[j] += alpha * ds[j]
-            lam[j] += alpha * dlam[j]
+        # Corrector right-hand side y + e_l - e_u - e_b with
+        # e = (target - ds * dlam) / s, one pass; e replaces ds * dlam.
+        e_b = (target - ds_b * dlam_b) / s_b
+        for c in cols:
+            e = np.subtract(target, c.dlam, out=c.dlam)
+            np.divide(e, c.s, out=e)
+            np.add(c.y, c.dlam_l, out=c.y)
+            np.subtract(c.y, c.dlam_u, out=c.y)
+            np.subtract(c.y, e_b, out=c.y)
+
+        # Corrector: ds and dlam = (e - lam) - lam ds/s with the step
+        # ratios, one pass.
+        action.solve(y, out=dp)
+        ds_b = r_b - action.x_sum
+        dlam_b = (e_b - lam_b) - d_b * ds_b
+        worst = [ds_b / s_b, dlam_b / lam_b]
+        for c in cols:
+            np.add(c.dp, c.r_l, out=c.ds_l)
+            np.subtract(c.r_u, c.dp, out=c.ds_u)
+            ratio = c.ds / c.s
+            worst.append(ratio.min())
+            ratio *= c.lam
+            np.subtract(c.dlam, c.lam, out=c.dlam)
+            np.subtract(c.dlam, ratio, out=c.dlam)
+            worst.append((c.dlam / c.lam).min())
+        alpha = _step_length(worst, BOUNDARY_FACTOR)
+
+        # Update, one pass, with ds formed again from dp; H p moves by
+        # alpha H dp when the corrector's last refinement check formed
+        # H dp, and is formed afresh at the next iteration otherwise.
+        hdp = action.hx
+        p_sum = 0.0
+        for c, b in zip(cols, blocks):
+            np.add(c.dp, c.r_l, out=c.ds_l)
+            np.subtract(c.r_u, c.dp, out=c.ds_u)
+            np.multiply(c.dp, alpha, out=c.dp)
+            np.add(c.p, c.dp, out=c.p)
+            np.add(c.s, alpha * c.ds, out=c.s)
+            np.add(c.lam, alpha * c.dlam, out=c.lam)
+            if hdp is not None:
+                np.add(c.hp, alpha * hdp[b], out=c.hp)
+            p_sum += c.p.sum()
+        s_b += alpha * ds_b
+        lam_b += alpha * dlam_b
+        p_sum = float(p_sum)
+        hp_carried = hdp is not None
 
     raise NonconvergenceError(
         f"interior-point solve did not reach tol={tol} in {max_iter} iterations",
@@ -351,18 +529,11 @@ def solve_qp(
     )
 
 
-def _dot(a, b) -> float:
-    """Inner product of two (lower, upper, budget) block triples."""
-    return float(a[0] @ b[0]) + float(a[1] @ b[1]) + a[2] * b[2]
-
-
-def _step_to_boundary(s, ds, lam, dlam, factor: float) -> float:
+def _step_length(worst_ratios: list, factor: float) -> float:
     """Common step length: ``factor`` times the largest step keeping the
-    slack and multiplier blocks nonnegative, capped at 1."""
-    worst = min(
-        float((ds[0] / s[0]).min()), float((ds[1] / s[1]).min()), ds[2] / s[2],
-        float((dlam[0] / lam[0]).min()), float((dlam[1] / lam[1]).min()), dlam[2] / lam[2],
-    )
+    slack and multiplier blocks nonnegative, capped at 1, from each
+    block's smallest ratio ds/s and dlam/lam."""
+    worst = min(worst_ratios)
     if worst >= 0.0:
         return 1.0
     return min(1.0, -factor / worst)

@@ -195,7 +195,9 @@ class TestBlockFormMatchesStackedLoop:
     @pytest.mark.parametrize(
         "hess_kind, n",
         [("dense", 12), ("dense", 40), ("factored", 60), ("factored", 2 * COLUMN_BLOCK + 17),
-         ("zero", 60), ("zero", 2 * COLUMN_BLOCK + 17)],
+         ("zero", 60), ("zero", 2 * COLUMN_BLOCK + 17),
+         # one block short of, exactly at and one column past the block edge
+         ("factored", COLUMN_BLOCK - 1), ("factored", COLUMN_BLOCK), ("factored", COLUMN_BLOCK + 1)],
     )
     def test_same_iterations_and_step(self, hess_kind, n, budget):
         prob = equivalence_problem(hess_kind, budget, n, seed=n)
@@ -208,6 +210,37 @@ class TestBlockFormMatchesStackedLoop:
             assert sol.lam[-1] > 1e-3
         else:
             assert prob.budget_rhs - sol.p.sum() > 0.5
+
+
+class TestReportedResiduals:
+    """The residuals and mu a solve reports are those of the iterate it
+    returns, recomputed afresh: H p from W, every column of a
+    ragged last block, and 1^T p in the budget row."""
+
+    @pytest.mark.parametrize("budget", ["active", "slack"])
+    def test_match_recomputed_at_returned_iterate(self, budget):
+        n = 3 * COLUMN_BLOCK + 5
+        prob = equivalence_problem("factored", budget, n, seed=n)
+        sol = solve_qp(prob)
+        p, rows = sol.p, prob.rows
+        lam_l, lam_u, lam_b = sol.lam[:n], sol.lam[n : 2 * n], sol.lam[-1]
+        s_l, s_u, s_b = sol.s[:n], sol.s[n : 2 * n], sol.s[-1]
+        r_dual = rows.T @ (rows @ p) + prob.g - lam_l + lam_u + lam_b
+        r_primal = max(
+            np.abs(p - s_l - prob.box_low).max(),
+            np.abs(prob.box_high - p - s_u).max(),
+            abs(prob.budget_rhs - p.sum() - s_b),
+        )
+        mu = float(sol.s @ sol.lam) / (2 * n + 1)
+        bound = 1e-11 * max(1.0, np.abs(prob.g).max())
+        assert abs(np.abs(r_dual).max() - sol.residual_dual) <= bound
+        assert abs(r_primal - sol.residual_primal) <= bound
+        assert abs(mu - sol.mu) <= bound
+        assert sol.iterations > 0
+        if budget == "active":
+            assert lam_b > 1e-3
+        else:
+            assert prob.budget_rhs - p.sum() > 0.5
 
 
 @st.composite
