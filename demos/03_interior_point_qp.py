@@ -2,9 +2,11 @@
 
 The SQP subproblem minimizes g^T p + 1/2 p^T H p over the box
 [-w, 1 - w] with one budget row.  H comes as r rows W with H = W^T W,
-cut from a factored coef^T core coef by ``hessian_rows``; each Newton
-solve uses the Woodbury identity plus a rank-one Sherman-Morrison update,
-so iterations cost O(n r^2) rather than O(n^3).
+cut from a factored coef^T core coef by ``hessian_rows``.  Each
+iteration forms the r x r Woodbury core I + W D^{-1} W^T once, each
+Newton solve solves that core directly and adds a rank-one
+Sherman-Morrison update for the budget row, so iterations cost O(n r^2)
+rather than O(n^3).
 """
 
 import time

@@ -56,7 +56,6 @@ from .objective import (
     shared_engine,
 )
 from .qp_solver import (
-    QpIterate,
     QpProblem,
     QpSolution,
     hessian_rows,

@@ -303,7 +303,7 @@ class LidarProblem:
 
     @property
     def sector_angles(self) -> np.ndarray:
-        return 2.0 * np.pi * (np.arange(self.config.n_d) + 0.5) / self.config.n_d
+        return self.disk_mesh.angle[:: self.config.n_r]
 
     @cached_property
     def dense_f(self) -> np.ndarray:
@@ -328,6 +328,5 @@ def build_lidar_problem(
     kern = advdiff_kernel(cfg)
     budget_nodes = node_budget(node_constant, grid.n_points)
     lowrank = build_lowrank(kern, st_mesh, grid, budget_nodes)
-    row_group = np.repeat(disk.sector, cfg.n_t)
     setup = BayesSetup(alpha=cfg.alpha, sigma2_noise=cfg.sigma2_noise, criterion=criterion)
-    return LidarProblem(cfg, lowrank, row_group, setup, disk, grid, kern)
+    return LidarProblem(cfg, lowrank, st_mesh.sector, setup, disk, grid, kern)

@@ -24,9 +24,10 @@ dual.  Both solves use the one normal-matrix operator built per iteration.
 H comes as its rows W (r x n), H = W^T W, which the caller cuts once
 from its PSD Hessian with ``hessian_rows``; the residuals and the Newton
 model then describe the same truncated H.
-The operator factors the small Woodbury core I + W D^{-1} W^T once per
-iteration, in O(n r^2), and adds a rank-one Sherman-Morrison update for
-the budget term; each solve then costs O(n r).
+The operator forms the small Woodbury core I + W D^{-1} W^T once per
+iteration, in O(n r^2), and keeps no factor of it: each solve solves
+the r x r core directly and finishes with a rank-one Sherman-Morrison
+update for the budget term, in O(n r + r^3).
 
 At large n an iteration is bound by memory traffic, so it is laid out to
 stream each n-wide array as few times as it can.  The iterate is updated
@@ -39,7 +40,7 @@ residuals with D and the predictor's right-hand side; the predictor's ds
 and dlam with the step ratios and ds^T dlam; the corrector's right-hand
 side; the corrector's ds and dlam with the step ratios; the update.  Products with W and W^T run over the
 full width, where BLAS threads them.  An iteration reads W 9 times: the
-pass that forms the Woodbury Gram with W D^{-1} 1, then per solve W x and
+pass that forms the Woodbury core with W D^{-1} 1, then per solve W x and
 W^T z, and the refinement check's W x and W^T (W x).  The first solve's
 W^T product also carries X^{-1} 1, and H p is carried from the
 corrector's check, H p + alpha H dp; a refinement step after that check
@@ -60,7 +61,6 @@ from .gram import COLUMN_BLOCK, HESSIAN_CUT, cut_mask, sym_eigh
 
 __all__ = [
     "QpProblem",
-    "QpIterate",
     "QpSolution",
     "NormalMatrixAction",
     "starting_point",
@@ -117,20 +117,6 @@ class QpProblem:
 
 
 @dataclass
-class QpIterate:
-    """Interior-point state: primal p, slacks s > 0, multipliers lam > 0.
-
-    s and lam stack the (lower, upper, budget) blocks as (2n+1)-vectors;
-    ``solve_qp`` takes its start in this form, updates these arrays in
-    place as row-pair views, and returns them in its ``QpSolution``.
-    """
-
-    p: np.ndarray
-    s: np.ndarray
-    lam: np.ndarray
-
-
-@dataclass
 class QpSolution:
     """The stopping iterate: p, and the multipliers ``lam`` and slacks
     ``s`` stacked as (lower, upper, budget); ``mu``, ``residual_dual``
@@ -157,30 +143,28 @@ def _blocks(n: int) -> list:
 
 
 class NormalMatrixAction:
-    """Operator v -> (H + D + d_b 1 1^T) v and its inverse action.
+    """Inverse action of the operator H + D + d_b 1 1^T.
 
     D is ``diag`` floored at DIAGONAL_FLOOR and d_b is ``budget_coeff``;
     in the interior-point loop D = lam_low/s_low + lam_up/s_up and
     d_b = lam_bud/s_bud.  The inverse uses the Woodbury identity against
     the problem's rows W, then a Sherman-Morrison update for the rank-one
-    budget term.
+    budget term.  The r x r Woodbury core I + W D^{-1} W^T is formed once
+    and solved directly on each call, with no factor kept.
 
     The operator's n-wide arrays are the ROWS rows of ``work``, a
-    (ROWS, n) buffer that ``solve_qp`` hands in from its workspace and
-    that is allocated here when omitted.  Products with W and W^T run
-    over the full width, where BLAS threads them; the elementwise work
-    between them runs in one COLUMN_BLOCK-blocked pass each.  After
-    ``solve``, ``x_sum`` is 1^T x of the returned x, and ``hx`` is H x
-    when the last refinement check formed it for that x (None when a
-    refinement step followed the check).
+    (ROWS, n) buffer that ``solve_qp`` hands in from its workspace.
+    Products with W and W^T run over the full width, where BLAS threads
+    them; the elementwise work between them runs in COLUMN_BLOCK-blocked
+    passes.  After ``solve``, ``x_sum`` is 1^T x of the returned x, and
+    ``hx`` is H x when the last refinement check formed it for that x
+    (None when a refinement step followed the check).
     """
 
     ROWS = 5
 
     def __init__(self, problem: QpProblem, diag: np.ndarray, budget_coeff: float,
-                 work: np.ndarray | None = None):
-        if work is None:
-            work = np.empty((self.ROWS, problem.n))
+                 work: np.ndarray):
         self.diag, self._dinv, self._xinv_ones = work[:3]
         # The refinement residual and H x.  The W^T products of the first
         # solve (two vectors) and of a refinement step, and that step,
@@ -191,47 +175,39 @@ class NormalMatrixAction:
         self._wrows = wrows = problem.rows
         self._blocks = _blocks(problem.n)
         r = wrows.shape[0]
-        # One pass: floor D, invert it, and sum the Woodbury Gram
-        # W D^{-1} W^T and W D^{-1} 1, the forward product of X^{-1} 1.
-        gram = np.zeros((r, r))
+        # One pass: floor D, invert it, and sum the Woodbury core
+        # I + W D^{-1} W^T and W D^{-1} 1, the forward product of X^{-1} 1.
+        self._core = np.eye(r)
         self._w_dinv = np.zeros(r)
         for b in self._blocks:
             block = wrows[:, b]
             dinv = np.maximum(diag[b], DIAGONAL_FLOOR, out=self.diag[b])
             dinv = np.divide(1.0, dinv, out=self._dinv[b])
-            gram += (block * dinv) @ block.T
+            self._core += (block * dinv) @ block.T
             self._w_dinv += block @ dinv
-        try:
-            # the Woodbury core I + W D^{-1} W^T
-            self._small_chol = np.linalg.cholesky(np.eye(r) + 0.5 * (gram + gram.T))
-        except np.linalg.LinAlgError as err:
-            raise NumericalFailure("inner Woodbury system is singular", {"size": r}) from err
+        if not np.isfinite(self._core).all():
+            raise NumericalFailure("inner Woodbury system is not finite", {"size": r})
         # X^{-1} 1 and the Sherman-Morrison denominator 1^T X^{-1} 1 + 1/d_b
         # come with the first solve, which shares its back product over W.
         self._sm_denom = None
         self.x_sum = None
         self.hx = None
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        base = self._wrows.T @ (self._wrows @ v) + self.diag * v
-        return base + self.budget_coeff * v.sum()
-
-    def _solve_once(self, y: np.ndarray, out: np.ndarray) -> float:
-        """Write z = (W^T W + D)^{-1} y into ``out`` and return
-        c = 1^T z / (1^T X^{-1} 1 + 1/d_b): the solve of the whole
-        operator is z - c X^{-1} 1, which the caller's next pass applies
-        (``_settle``).  The first call also forms X^{-1} 1, its W^T
-        product sharing the call's back product."""
-        wrows, dinv = self._wrows, self._dinv
-        forward = wrows @ np.multiply(y, dinv, out=out)
+    def _solve_once(self, y: np.ndarray, z: np.ndarray, x: np.ndarray) -> float:
+        """Solve (H + D + d_b 1 1^T) z = y into ``z``, add z into ``x``
+        and return 1^T x; z is x itself on the first call and a
+        refinement step after.  The first call also forms
+        X^{-1} 1 = (W^T W + D)^{-1} 1, its W^T product sharing the call's
+        back product."""
+        wrows, dinv, blocks = self._wrows, self._dinv, self._blocks
+        forward = wrows @ np.multiply(y, dinv, out=z)
         first = self._sm_denom is None
         rhs = np.column_stack([forward, self._w_dinv]) if first else forward[:, None]
-        coef = np.linalg.solve(self._small_chol, rhs)
-        coef = np.linalg.solve(self._small_chol.T, coef).T
+        coef = np.linalg.solve(self._core, rhs).T
         back = np.matmul(coef, wrows, out=self._back[2 - coef.shape[0]:])
         z_sum = ones_sum = 0.0
-        for b in self._blocks:
-            zb = out[b]
+        for b in blocks:
+            zb = z[b]
             zb -= back[0, b] * dinv[b]
             z_sum += zb.sum()
             if first:
@@ -239,39 +215,39 @@ class NormalMatrixAction:
                 ones_sum += ones.sum()
         if first:
             self._sm_denom = float(ones_sum) + 1.0 / self.budget_coeff
-        return float(z_sum) / self._sm_denom
+        # Sherman-Morrison: z -= c X^{-1} 1.  Folding the budget row into
+        # W instead (core diag(I, 1/d_b) + U D^{-1} U^T with U = [W; 1^T],
+        # or I + U D^{-1} U^T with a sqrt(d_b)-scaled row) breaks down as
+        # d_b grows: on a 5-weight QP at tol 1e-10, d_b reached 1e39 and
+        # the operator's residual 1e101, or the scaled form raised
+        # NumericalFailure.  Here the denominator sums the same X^{-1} 1
+        # that the update subtracts, which likely keeps 1^T x consistent
+        # however large d_b is.
+        c = float(z_sum) / self._sm_denom
+        x_sum = 0.0
+        for b in blocks:
+            zb = z[b]
+            zb -= self._xinv_ones[b] * c
+            xb = x[b]
+            if z is not x:
+                xb += zb
+            x_sum += xb.sum()
+        return float(x_sum)
 
-    def _settle(self, x: np.ndarray, pending: tuple, b: slice) -> np.ndarray:
-        """Block b of x once the pending Sherman-Morrison update (row z,
-        coefficient c) is applied: z - c X^{-1} 1 is x itself or a
-        refinement step added to x."""
-        z, c = pending
-        zb = z[b]
-        zb -= self._xinv_ones[b] * c
-        xb = x[b]
-        if z is not x:
-            xb += zb
-        return xb
+    def solve(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Inverse action into ``out``, with iterative refinement against
+        the exact operator; the Woodbury path loses digits when the
+        interior-point diagonal spans many orders of magnitude.
 
-    def solve(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Inverse action with iterative refinement against the exact
-        operator, into ``out`` when given; the Woodbury path loses digits
-        when the interior-point diagonal spans many orders of magnitude.
-
-        Each refinement check finishes x and sums it in one pass, forms
-        H x = W^T (W x), then the residual y - (H + D + d_b 1 1^T) x and
-        its extremes in a second pass."""
-        blocks = self._blocks
-        x = np.empty(y.shape) if out is None else out
-        pending = (x, self._solve_once(y, x))
-        for step in range(REFINE_STEPS + 1):
-            self.x_sum = float(sum(self._settle(x, pending, b).sum() for b in blocks))
-            if step == REFINE_STEPS:
-                break
+        Each refinement check forms H x = W^T (W x), then the residual
+        y - (H + D + d_b 1 1^T) x and its extremes in one pass."""
+        x = out
+        self.x_sum = self._solve_once(y, x, x)
+        for _ in range(REFINE_STEPS):
             hx = np.matmul(self._wrows @ x, self._wrows, out=self._hx)
             shift = self.budget_coeff * self.x_sum
             worst = 0.0
-            for b in blocks:
+            for b in self._blocks:
                 res = np.multiply(self.diag[b], x[b], out=self._residual[b])
                 res += hx[b]
                 res += shift
@@ -282,7 +258,7 @@ class NormalMatrixAction:
             if worst <= 1e-14 or worst <= 1e-14 * _max_abs(y.max(), y.min()):
                 self.hx = hx
                 return x
-            pending = (self._residual, self._solve_once(self._residual, self._residual))
+            self.x_sum = self._solve_once(self._residual, self._residual, x)
         self.hx = None
         return x
 
@@ -315,8 +291,9 @@ def hessian_rows(core: np.ndarray, coef: np.ndarray | None = None) -> np.ndarray
     return rows if coef is None else rows @ coef
 
 
-def starting_point(problem: QpProblem) -> QpIterate:
-    """Strictly interior cold start.
+def starting_point(problem: QpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Strictly interior cold start (p, s, lam), with s and lam stacked
+    as (lower, upper, budget) (2n+1)-vectors.
 
     p sits at the box center, blended toward the lower corner when the
     budget cuts through the center; slacks are the constraint slacks
@@ -336,7 +313,7 @@ def starting_point(problem: QpProblem) -> QpIterate:
         p = p + theta * (low - p)
     s = np.maximum(np.concatenate([p - low, high - p, [problem.budget_rhs - p.sum()]]), 1.0)
     lam = np.ones(2 * problem.n + 1)
-    return QpIterate(p, s, lam)
+    return p, s, lam
 
 
 def solve_qp(
@@ -381,7 +358,7 @@ def solve_qp(
         raise ValueError("max_iter must be at least 1")
     n = problem.n
     wrows, g, low, high = problem.rows, problem.g, problem.box_low, problem.box_high
-    it = starting_point(problem)
+    p, s_stack, lam_stack = starting_point(problem)
     target_floor = CENTERING_FLOOR * tol
     m = 2 * n + 1
     blocks = _blocks(n)
@@ -393,9 +370,8 @@ def solve_qp(
     # row pairs; the last NormalMatrixAction.ROWS rows are the
     # operator's, its diag first.  ds = (dp + r_l, r_u - dp) is formed
     # per block in one (2, COLUMN_BLOCK) buffer.
-    p = it.p
-    s, s_b = it.s[: 2 * n].reshape(2, n), float(it.s[2 * n])
-    lam, lam_b = it.lam[: 2 * n].reshape(2, n), float(it.lam[2 * n])
+    s, s_b = s_stack[: 2 * n].reshape(2, n), float(s_stack[2 * n])
+    lam, lam_b = lam_stack[: 2 * n].reshape(2, n), float(lam_stack[2 * n])
     work = np.empty((7 + NormalMatrixAction.ROWS, n))
     hp, y, dp = work[0], work[1], work[2]
     r, dlam = work[3:5], work[5:7]
@@ -449,17 +425,17 @@ def solve_qp(
                 {"iteration": k, **last},
             )
         if max(err_d, err_p, mu) <= tol:
-            it.s[2 * n], it.lam[2 * n] = s_b, lam_b
-            return QpSolution(p, it.lam, it.s, k, mu, err_d, err_p)
+            s_stack[2 * n], lam_stack[2 * n] = s_b, lam_b
+            return QpSolution(p, lam_stack, s_stack, k, mu, err_d, err_p)
         last = {"mu": mu, "r_dual": err_d, "r_primal": err_p}
 
-        action = NormalMatrixAction(problem, arrays["diag"], d_b, work=action_work)
+        action = NormalMatrixAction(problem, arrays["diag"], d_b, action_work)
 
         # Affine predictor: ds = (dp + r_l, r_u - dp) and
         # dlam = -lam - d ds = lam (-1 - ds/s), whose ratio to lam is
         # -1 - ds/s, with the product ds * dlam (kept in dlam's rows) and
         # its sum, one pass.
-        action.solve(y, out=dp)
+        action.solve(y, dp)
         ds_b = r_b - action.x_sum
         dlam_b = -lam_b - d_b * ds_b
         worst, dots = [ds_b / s_b, dlam_b / lam_b], 0.0
@@ -488,7 +464,7 @@ def solve_qp(
 
         # Corrector: ds and dlam = (e - lam) - lam ds/s with the step
         # ratios, one pass.
-        action.solve(y, out=dp)
+        action.solve(y, dp)
         ds_b = r_b - action.x_sum
         dlam_b = (e_b - lam_b) - d_b * ds_b
         worst = [ds_b / s_b, dlam_b / lam_b]

@@ -202,10 +202,9 @@ def stacked_solve_qp(problem, tol=1e-8, max_iter=100):
         return float(np.abs(x).max())
 
     wrows = problem.rows
-    it = qp_solver.starting_point(problem)
+    p, s, lam = qp_solver.starting_point(problem)
     b = np.concatenate([problem.box_low, -problem.box_high, [-problem.budget_rhs]])
     target_floor = qp_solver.CENTERING_FLOOR * tol
-    p, s, lam = it.p, it.s, it.lam
     m = s.size
     for k in range(max_iter):
         r_d = wrows.T @ (wrows @ p) + problem.g - apply_at(lam)
@@ -214,12 +213,13 @@ def stacked_solve_qp(problem, tol=1e-8, max_iter=100):
         if max(max_abs(r_d), max_abs(r_p), mu) <= tol:
             return p, lam, k
         d = lam / s
-        action = qp_solver.NormalMatrixAction(problem, d[:n] + d[n : 2 * n], d[2 * n])
+        work = np.empty((qp_solver.NormalMatrixAction.ROWS, n))
+        action = qp_solver.NormalMatrixAction(problem, d[:n] + d[n : 2 * n], d[2 * n], work)
         base = -r_d - apply_at(d * r_p)
 
         def direction(q):
             # lam * ds + s * dlam = s * q
-            dp = action.solve(base + apply_at(q))
+            dp = action.solve(base + apply_at(q), np.empty(n))
             ds = apply_a(dp) + r_p
             return dp, ds, q - d * ds
 

@@ -18,11 +18,11 @@ def test_woodbury_core_matches_dense(rng):
     root = rng.normal(size=(5, 5))
     rows = hessian_rows(root.T @ root, rng.normal(size=(5, n)))
     problem = QpProblem(np.zeros(n), rows, np.zeros(n), np.ones(n), n / 2)
-    action = NormalMatrixAction(problem, rng.uniform(0.1, 4.0, n), rng.uniform(0.1, 2.0))
-    w, dinv = action._wrows, action._dinv
-    dense = np.eye(w.shape[0]) + (w * dinv) @ w.T
-    chol = action._small_chol
-    assert np.abs(chol @ chol.T - dense).max() <= 1e-12 * np.abs(dense).max()
+    diag = rng.uniform(0.1, 4.0, n)
+    action = NormalMatrixAction(problem, diag, rng.uniform(0.1, 2.0),
+                                np.empty((NormalMatrixAction.ROWS, n)))
+    dense = np.eye(rows.shape[0]) + (rows / diag) @ rows.T
+    assert np.abs(action._core - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
 @settings(max_examples=200, deadline=None)

@@ -256,6 +256,11 @@ class TestBuildLidarProblem:
         assert prob.sector_angles.size == 8
         assert prob.setup.alpha == cfg.alpha
         assert prob.dense_f.shape == (96, 36)
+        # the row map and the angles are those of the dense F and of the
+        # beam midlines 2 pi (k + 1/2) / n_d, to the bit
+        _, row_group = build_spacetime_F(cfg, prob.disk_mesh, prob.input_mesh)
+        np.testing.assert_array_equal(prob.row_group, row_group)
+        np.testing.assert_array_equal(prob.sector_angles, 2.0 * np.pi * (np.arange(8) + 0.5) / 8)
 
     def test_design_path_never_forms_coef_out(self):
         # grouped designs read the output coefficients only through the

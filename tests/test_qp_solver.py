@@ -34,11 +34,12 @@ def random_problem(rng, n, factored=False, n_nodes=4):
     return QpProblem(g, rows, low, high, rhs)
 
 
-def action_at(prob, it):
-    """The normal-matrix operator at a stacked iterate."""
+def action_at(prob, s, lam):
+    """The normal-matrix operator at a stacked iterate, on its own buffers."""
     n = prob.n
-    d = it.lam / it.s
-    return NormalMatrixAction(prob, d[:n] + d[n : 2 * n], d[2 * n])
+    d = lam / s
+    work = np.empty((NormalMatrixAction.ROWS, n))
+    return NormalMatrixAction(prob, d[:n] + d[n : 2 * n], d[2 * n], work)
 
 
 class TestExamples:
@@ -124,29 +125,29 @@ class TestStructuredPath:
         prob = random_problem(rng, n)
         prob.rows = hessian_rows(np.zeros((3, 3)), rng.normal(size=(3, n)))
         assert prob.rows.shape == (0, n)
-        it = starting_point(prob)
-        action = action_at(prob, it)
+        _, s, lam = starting_point(prob)
+        action = action_at(prob, s, lam)
         v = rng.normal(size=n)
         # against the explicit matrix
-        d = it.lam / it.s
+        d = lam / s
         x = np.diag(np.maximum(d[:n] + d[n : 2 * n], 1e-14)) + d[2 * n] * np.ones((n, n))
-        assert_allclose(action.solve(v), np.linalg.solve(x, v), atol=1e-9)
+        assert_allclose(action.solve(v, np.empty(n)), np.linalg.solve(x, v), atol=1e-9)
 
     def test_rank_one_core_matches_dense_inverse(self, rng):
         n = 15
         coef = rng.normal(size=(1, n))
         prob = random_problem(rng, n)
         prob.rows = hessian_rows(np.array([[2.0]]), coef)
-        it = starting_point(prob)
-        action = action_at(prob, it)
-        d = it.lam / it.s
+        _, s, lam = starting_point(prob)
+        action = action_at(prob, s, lam)
+        d = lam / s
         x = (
             2.0 * coef.T @ coef
             + np.diag(np.maximum(d[:n] + d[n : 2 * n], 1e-14))
             + d[2 * n] * np.ones((n, n))
         )
         v = rng.normal(size=n)
-        assert_allclose(action.solve(v), np.linalg.solve(x, v), atol=1e-9)
+        assert_allclose(action.solve(v, np.empty(n)), np.linalg.solve(x, v), atol=1e-9)
 
     def test_dense_zero_hessian_is_diagonal_plus_rank_one(self):
         # A dense H = 0 truncates to an empty Woodbury core: the linear
@@ -159,11 +160,18 @@ class TestStructuredPath:
 
     def test_apply_solve_roundtrip(self, rng):
         prob = random_problem(rng, 50, factored=True, n_nodes=9)
-        it = starting_point(prob)
-        action = action_at(prob, it)
+        _, s, lam = starting_point(prob)
+        action = action_at(prob, s, lam)
+        # against the explicit operator H + D + d_b 1 1^T
+        d = lam / s
+        x = (
+            dense_hessian(prob.rows)
+            + np.diag(np.maximum(d[:50] + d[50:100], 1e-14))
+            + d[100] * np.ones((50, 50))
+        )
         for _ in range(3):
             v = rng.normal(size=50)
-            assert np.abs(action.apply(action.solve(v)) - v).max() < 1e-8
+            assert np.abs(x @ action.solve(v, np.empty(50)) - v).max() < 1e-8
 
 
 def equivalence_problem(hess_kind, budget, n, seed):
@@ -312,20 +320,40 @@ class TestProperties:
             assert sol.iterations > 0
             assert len(built) == sol.iterations
 
+    def test_one_core_solve_per_newton_solve(self, rng, monkeypatch):
+        calls = {"solve": 0, "cholesky": 0, "solve_once": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        prob = random_problem(rng, 40, factored=True)
+        monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
+        monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
+        monkeypatch.setattr(NormalMatrixAction, "_solve_once",
+                            counted("solve_once", NormalMatrixAction._solve_once))
+        sol = solve_qp(prob)
+        assert sol.iterations > 0
+        assert calls["solve_once"] >= 2 * sol.iterations
+        assert calls["solve"] == calls["solve_once"]
+        assert calls["cholesky"] == 0
+
 
 class TestStartingPoint:
     def test_center_with_generous_budget(self):
         prob = QpProblem(np.zeros(4), np.eye(4), np.zeros(4), np.ones(4), 100.0)
-        it = starting_point(prob)
-        assert_allclose(it.p, np.full(4, 0.5))
-        assert np.all(it.s >= 1.0)
-        assert_allclose(it.lam, np.ones(9))
+        p, s, lam = starting_point(prob)
+        assert_allclose(p, np.full(4, 0.5))
+        assert np.all(s >= 1.0)
+        assert_allclose(lam, np.ones(9))
 
     def test_budget_pushes_inside(self):
         prob = QpProblem(np.zeros(4), np.eye(4), np.zeros(4), np.ones(4), 1.0)
-        it = starting_point(prob)
-        assert it.p.sum() < 1.0
-        assert np.all(it.p > 0.0)
+        p, _, _ = starting_point(prob)
+        assert p.sum() < 1.0
+        assert np.all(p > 0.0)
 
     def test_infeasible_budget_rejected(self):
         prob = QpProblem(np.zeros(3), np.eye(3), np.zeros(3), np.ones(3), -0.5)
@@ -334,7 +362,8 @@ class TestStartingPoint:
 
     def test_slacks_floored(self):
         prob = QpProblem(np.zeros(3), np.eye(3), np.zeros(3), np.ones(3), 5.0)
-        assert np.all(starting_point(prob).s >= 1.0)
+        _, s, _ = starting_point(prob)
+        assert np.all(s >= 1.0)
 
 
 class TestErrors:
@@ -363,6 +392,13 @@ class TestErrors:
     def test_rows_of_wrong_shape_rejected(self, rows):
         with pytest.raises(ValueError, match="Hessian rows"):
             QpProblem(np.ones(4), rows, np.zeros(4), np.ones(4), 2.0)
+
+    def test_non_finite_woodbury_core_rejected(self, rng):
+        prob = random_problem(rng, 8, factored=True)
+        diag = np.ones(8)
+        diag[2] = np.nan
+        with pytest.raises(NumericalFailure, match="Woodbury system is not finite"):
+            NormalMatrixAction(prob, diag, 1.0, np.empty((NormalMatrixAction.ROWS, 8)))
 
     def test_nonconvergence_carries_residuals(self, rng):
         prob = random_problem(rng, 8)
