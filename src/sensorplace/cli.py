@@ -23,7 +23,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import asdict, dataclass, field, fields as dataclass_fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,8 +46,6 @@ from .sqp import SqpConfig, solve_relaxed
 __all__ = ["RunSpec", "main", "parse_config", "cmd_design", "cmd_oracle",
            "cmd_gap_sweep", "cmd_lidar_sanity"]
 
-COMMANDS = ("design", "oracle", "gap-sweep", "lidar-sanity")
-
 ANALYTIC_KERNELS = {
     "gauss": gaussian_difference_kernel,
     "expxy": product_exponential_kernel,
@@ -67,7 +65,6 @@ class RunSpec:
     problem: str = "lidar"
     criterion: str = "A"
     node_constant: float = 8.0
-    seed: int = 0
     out: str = "."
     # analytic-kernel problems
     n: int = 100
@@ -151,6 +148,9 @@ def build_runspec(entries: dict, overrides: dict) -> RunSpec:
     if not (0.0 < spec.budget_fraction <= 1.0 and 0.0 < spec.node_constant < np.inf):
         raise ConfigError("budget_fraction must lie in (0, 1], node_constant be positive and finite")
     if spec.problem == "lidar":
+        # a lidar problem is sized by n_d, n_r, n_x and budgeted by r
+        if {"n", "budget_fraction"} & merged.keys():
+            raise ConfigError("analytic keys (n, budget_fraction) supplied for a lidar problem")
         try:
             spec.lidar = LidarConfig(alpha=spec.alpha, sigma2_noise=spec.sigma2_noise,
                                      **lidar_kwargs)
@@ -192,7 +192,7 @@ def _assemble(spec: RunSpec, size=None, constant=None) -> _Assembled:
     if spec.problem == "lidar":
         cfg = spec.lidar or LidarConfig()
         if size is not None:
-            cfg = LidarConfig(**{**_lidar_dict(cfg), "n_d": size, "n_r": size, "n_x": size})
+            cfg = replace(cfg, n_d=size, n_r=size, n_x=size)
         prob = build_lidar_problem(cfg, constant, criterion=spec.criterion)
         return _Assembled(
             prob.lowrank,
@@ -212,10 +212,6 @@ def _assemble(spec: RunSpec, size=None, constant=None) -> _Assembled:
         lowrank, setup, budget, None, None,
         lambda: dense_kernel_matrix(kern, mesh, mesh),
     )
-
-
-def _lidar_dict(cfg: LidarConfig) -> dict:
-    return {f.name: getattr(cfg, f.name) for f in dataclass_fields(LidarConfig)}
 
 
 def _design_once(spec: RunSpec, assembled: _Assembled, kernel_matrix=None, epsilon=None):
@@ -257,13 +253,7 @@ def _write_summary(out_dir, payload):
 
 
 def _summary_base(spec: RunSpec) -> dict:
-    config = {k: v for k, v in vars(spec).items() if k not in ("lidar", "sizes", "constants")}
-    if spec.lidar is not None:
-        config["lidar"] = _lidar_dict(spec.lidar)
-    if spec.sizes:
-        config["sizes"] = list(spec.sizes)
-    if spec.constants:
-        config["constants"] = list(spec.constants)
+    config = {k: v for k, v in asdict(spec).items() if v is not None and v != []}
     return {"command": spec.command, "config": config}
 
 
@@ -311,6 +301,8 @@ def cmd_oracle(spec: RunSpec) -> dict:
 
 
 def cmd_gap_sweep(spec: RunSpec) -> dict:
+    if spec.problem == "lidar" and not spec.sizes:
+        raise ConfigError("a lidar gap-sweep needs sizes (n_d = n_r = n_x per cell)")
     sizes = spec.sizes or [spec.n]
     if sorted(sizes) != sizes:
         raise ConfigError("sizes must be ascending")
@@ -364,6 +356,7 @@ _DISPATCH = {
     "gap-sweep": cmd_gap_sweep,
     "lidar-sanity": cmd_lidar_sanity,
 }
+COMMANDS = tuple(_DISPATCH)
 
 
 def main(argv=None) -> int:
@@ -373,7 +366,6 @@ def main(argv=None) -> int:
     parser.add_argument("--command", choices=COMMANDS)
     parser.add_argument("--sizes", help="comma/space separated problem sizes (or p list)")
     parser.add_argument("--constants", help="comma/space separated node constants")
-    parser.add_argument("--seed", type=int)
     parser.add_argument("--out", help="output directory")
     args = parser.parse_args(argv)
 
@@ -381,7 +373,6 @@ def main(argv=None) -> int:
         entries = parse_config(args.config) if args.config else {}
         overrides = {
             "command": args.command,
-            "seed": args.seed,
             "out": args.out,
             "sizes": args.sizes,
             "constants": args.constants,

@@ -66,17 +66,15 @@ class RectDomain:
 
 @dataclass(frozen=True)
 class DiskSensorDomain:
-    """Disk sensed along radial beams, one beam per equal-angle sector."""
+    """Unit disk sensed along radial beams, one beam per equal-angle sector:
+    ``n_d`` sectors, ``n_r`` points per beam."""
 
     n_d: int
     n_r: int
-    radius: float = 1.0
 
     def __post_init__(self):
         if self.n_d < 1 or self.n_r < 1:
             raise ValueError("n_d and n_r must be >= 1")
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
 
 
 @dataclass(frozen=True)
@@ -89,7 +87,6 @@ class MeshedDomain:
     ``times`` and append time as the last point coordinate.
     """
 
-    domain: object
     points: np.ndarray
     cell_measure: float
     bounds: np.ndarray
@@ -141,27 +138,27 @@ def build_mesh(domain: RectDomain, counts) -> MeshedDomain:
     grids = np.meshgrid(*axes, indexing="ij")
     points = np.column_stack([g.ravel(order="C") for g in grids])
     cell = domain.measure / float(np.prod(counts))
-    return MeshedDomain(domain, points, cell, domain.bounds.copy())
+    return MeshedDomain(points, cell, domain.bounds.copy())
 
 
 def build_disk_mesh(cfg: DiskSensorDomain) -> MeshedDomain:
-    """Mesh the disk along beams through sector midlines.
+    """Mesh the unit disk along beams through sector midlines.
 
     Point (k, j) sits at angle 2*pi*(k - 1/2)/n_d and radius
-    (j - 1/2) * radius / n_r; ordering is sector-major, radius-minor, and
+    (j - 1/2) / n_r; ordering is sector-major, radius-minor, and
     points carry their sector index (the weight group) and beam angle.
     """
     angles = 2.0 * np.pi * (np.arange(cfg.n_d) + 0.5) / cfg.n_d
-    radii = cfg.radius * (np.arange(cfg.n_r) + 0.5) / cfg.n_r
+    radii = (np.arange(cfg.n_r) + 0.5) / cfg.n_r
     ang = np.repeat(angles, cfg.n_r)
     rad = np.tile(radii, cfg.n_d)
     points = np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
     sector = np.repeat(np.arange(cfg.n_d), cfg.n_r)
-    # cell measure on the output side is not used as a quadrature weight;
-    # keep the equal-area split of the disk for export/diagnostics.
-    cell = np.pi * cfg.radius**2 / (cfg.n_d * cfg.n_r)
-    box = np.array([[-cfg.radius, cfg.radius], [-cfg.radius, cfg.radius]])
-    return MeshedDomain(cfg, points, cell, box, sector=sector, angle=ang)
+    # The library never reads an output mesh's cell measure; this one is
+    # the equal-area split of the disk.
+    cell = np.pi / (cfg.n_d * cfg.n_r)
+    box = np.array([[-1.0, 1.0], [-1.0, 1.0]])
+    return MeshedDomain(points, cell, box, sector=sector, angle=ang)
 
 
 def spacetime_mesh(spatial: MeshedDomain, times) -> MeshedDomain:
@@ -183,7 +180,6 @@ def spacetime_mesh(spatial: MeshedDomain, times) -> MeshedDomain:
     sector = None if spatial.sector is None else np.repeat(spatial.sector, n_t)
     angle = None if spatial.angle is None else np.repeat(spatial.angle, n_t)
     return MeshedDomain(
-        spatial.domain,
         pts,
         spatial.cell_measure,
         bounds,
@@ -194,19 +190,14 @@ def spacetime_mesh(spatial: MeshedDomain, times) -> MeshedDomain:
 
 
 def dense_kernel_matrix(
-    kernel: Kernel,
-    out_mesh: MeshedDomain,
-    in_mesh: MeshedDomain,
-    times=None,
+    kernel: Kernel, out_mesh: MeshedDomain, in_mesh: MeshedDomain
 ) -> np.ndarray:
     """Full matrix F with F[i, j] = f(x_i, y_j[, t_i]) * cell_measure(in).
 
-    ``times`` expands a spatial output mesh into the location-major,
-    time-minor row layout; a mesh built by :func:`spacetime_mesh` is used
-    as-is.  Rows are evaluated in blocks to bound peak memory.
+    A space-time output mesh (:func:`spacetime_mesh`) gives the
+    location-major, time-minor rows, with its last coordinate as the time.
+    Rows are evaluated in blocks to bound peak memory.
     """
-    if times is not None:
-        out_mesh = spacetime_mesh(out_mesh, times)
     if out_mesh.n_points == 0 or in_mesh.n_points == 0:
         raise ValueError("meshes must be nonempty")
     has_time = out_mesh.times is not None

@@ -60,6 +60,9 @@ __all__ = [
     "build_lidar_problem",
 ]
 
+# Gauss-Legendre order of the Duhamel time integral in ``advdiff_solution``.
+SOURCE_QUAD_ORDER = 40
+
 
 @dataclass(frozen=True)
 class LidarConfig:
@@ -126,10 +129,6 @@ class ModeTable:
     k2: np.ndarray
     decay: np.ndarray
 
-    @property
-    def count(self) -> int:
-        return self.k1.size
-
 
 def mode_table(p: int, mu: float) -> ModeTable:
     ks = np.arange(1, p + 1)
@@ -182,12 +181,13 @@ def advdiff_kernel(cfg: LidarConfig) -> Kernel:
 
 
 def build_spacetime_F(cfg: LidarConfig, disk_mesh: MeshedDomain, input_mesh: MeshedDomain):
-    """Dense space-time kernel matrix and its row-to-sector map.
+    """Dense space-time kernel matrix, the exact F of a LIDAR problem.
 
-    Rows are location-major, time-minor over the disk mesh, so each
-    sector owns a contiguous block of n_r * n_t rows sharing one weight.
-    Exploits the separable mode structure: F factors through the p^2
-    Fourier modes.
+    Rows are location-major, time-minor over the disk mesh, the rows of
+    ``spacetime_mesh(disk_mesh, cfg.times)``, so each sector owns a
+    contiguous block of n_r * n_t rows sharing one weight (that mesh's
+    ``sector``).  Exploits the separable mode structure: F factors
+    through the p^2 Fourier modes.
     """
     table = mode_table(cfg.p, cfg.mu)
     a, b, g = cfg.drift
@@ -206,23 +206,18 @@ def build_spacetime_F(cfg: LidarConfig, disk_mesh: MeshedDomain, input_mesh: Mes
     for s in range(n_t):
         f[:, s, :] = (out_modes * time_factor[s][None, :]) @ weighted_in
     f *= out_drift[:, None, None]
-    row_group = np.repeat(disk_mesh.sector, n_t)
-    return f.reshape(n_loc * n_t, n_in), row_group
+    return f.reshape(n_loc * n_t, n_in)
 
 
-def fourier_coefficients_u0(u0, p: int, quad_order: int | None = None) -> np.ndarray:
+def fourier_coefficients_u0(u0, p: int) -> np.ndarray:
     """Projection of a field onto the Dirichlet modes by tensor quadrature.
 
     Returns coeffs[k1-1, k2-1] = integral of u0(x, y) phi_k1(x) phi_k2(y);
     the basis is L2-normalized on [-1, 1]^2 so these are the expansion
-    coefficients directly.  The Gauss-Legendre order never drops below
-    2p + 4; the default is padded to 24 so smooth test fields integrate
-    to near machine precision.
+    coefficients directly.  The Gauss-Legendre order max(2p + 4, 24)
+    integrates smooth test fields to near machine precision.
     """
-    if quad_order is None:
-        quad_order = max(2 * p + 4, 24)
-    quad_order = max(quad_order, 2 * p + 4)
-    nodes, wts = np.polynomial.legendre.leggauss(quad_order)
+    nodes, wts = np.polynomial.legendre.leggauss(max(2 * p + 4, 24))
     xg, yg = np.meshgrid(nodes, nodes, indexing="ij")
     values = np.asarray(u0(xg, yg), dtype=float)
     ks = np.arange(1, p + 1)
@@ -243,14 +238,14 @@ def reconstruct_u0(coeffs: np.ndarray, x, y) -> np.ndarray:
     return np.einsum("...i,ij,...j->...", bx, coeffs, by)
 
 
-def transformed_initial_coefficients(cfg: LidarConfig, u0, quad_order: int | None = None) -> np.ndarray:
+def transformed_initial_coefficients(cfg: LidarConfig, u0) -> np.ndarray:
     """Coefficients of v0 = exp(-a x - b y) u0, the heat-equation initial state."""
     a, b, _ = cfg.drift
 
     def v0(x, y):
         return np.exp(-a * x - b * y) * np.asarray(u0(x, y), dtype=float)
 
-    return fourier_coefficients_u0(v0, cfg.p, quad_order)
+    return fourier_coefficients_u0(v0, cfg.p)
 
 
 def advdiff_solution(
@@ -259,7 +254,6 @@ def advdiff_solution(
     points: np.ndarray,
     t: float,
     source_modes=None,
-    source_quad_order: int = 40,
 ) -> np.ndarray:
     """Solution field u(x, t) from heat-variable coefficients.
 
@@ -273,7 +267,7 @@ def advdiff_solution(
     coeffs = np.asarray(v0_coeffs, dtype=float).reshape(-1)
     amp = np.exp(-table.decay * t) * coeffs
     if source_modes is not None and t > 0:
-        nodes, wts = np.polynomial.legendre.leggauss(source_quad_order)
+        nodes, wts = np.polynomial.legendre.leggauss(SOURCE_QUAD_ORDER)
         s_nodes = 0.5 * t * (nodes + 1.0)
         s_wts = 0.5 * t * wts
         for s, ws in zip(s_nodes, s_wts):
@@ -307,8 +301,7 @@ class LidarProblem:
 
     @cached_property
     def dense_f(self) -> np.ndarray:
-        f, _ = build_spacetime_F(self.config, self.disk_mesh, self.input_mesh)
-        return f
+        return build_spacetime_F(self.config, self.disk_mesh, self.input_mesh)
 
 
 def build_lidar_problem(
@@ -321,7 +314,7 @@ def build_lidar_problem(
     plus the measurement window in time) and the input square each get
     max(2, ceil(budget**(1/d))) Chebyshev nodes per axis.
     """
-    disk = build_disk_mesh(DiskSensorDomain(cfg.n_d, cfg.n_r, 1.0))
+    disk = build_disk_mesh(DiskSensorDomain(cfg.n_d, cfg.n_r))
     square = RectDomain((-1.0, -1.0), (1.0, 1.0))
     grid = build_mesh(square, (cfg.n_x, cfg.n_x))
     st_mesh = spacetime_mesh(disk, cfg.times)

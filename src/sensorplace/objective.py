@@ -49,10 +49,7 @@ __all__ = [
     "shared_engine",
     "dense_objective_value",
     "dense_objective_and_derivatives",
-    "DEFAULT_ORACLE_CAP",
 ]
-
-DEFAULT_ORACLE_CAP = 2000
 
 # Solver round-off can push weights slightly negative; anything beyond
 # this is a real constraint violation.
@@ -343,12 +340,11 @@ def dense_objective_and_derivatives(
     f_matrix: np.ndarray,
     weights: DesignWeights,
     setup: BayesSetup,
-    oracle_cap: int = DEFAULT_ORACLE_CAP,
 ):
     """Exact value, gradient, and Hessian by dense factorization.
 
-    Validation oracle: refuses matrices larger than ``oracle_cap`` in
-    either dimension.  Per-row formulas (A-criterion)
+    Validation oracle; it forms n x n matrices for an n-row F.
+    Per-row formulas (A-criterion)
 
         g_i = -sigma2 * || (F^T W F + alpha I)^(-1) f_i ||^2,
         H_ij = 2 sigma2 * (f_i^T (.)^(-1) f_j) (f_i^T (.)^(-2) f_j),
@@ -358,8 +354,6 @@ def dense_objective_and_derivatives(
     Group entries sum their rows (and row pairs).
     """
     f = np.asarray(f_matrix, dtype=float)
-    if max(f.shape) > oracle_cap:
-        raise ValueError(f"oracle refuses matrices beyond {oracle_cap} rows/cols")
     v = np.clip(weights.row_weights(), 0.0, None)
     if v.size != f.shape[0]:
         raise ValueError("weights do not match the row count")

@@ -107,7 +107,7 @@ class _DenseObjective:
 
     def derivatives(self, w):
         value, gradient, hessian = dense_objective_and_derivatives(
-            self.f, self._weights(w), self.setup, oracle_cap=max(self.f.shape)
+            self.f, self._weights(w), self.setup
         )
         return value, gradient, hessian_rows(hessian)
 

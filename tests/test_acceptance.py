@@ -346,8 +346,8 @@ def test_criterion_8_lidar_physics():
     cfg = LidarConfig()
     disk = sp.build_disk_mesh(sp.DiskSensorDomain(cfg.n_d, cfg.n_r))
     grid = build_mesh(sp.RectDomain((-1.0, -1.0), (1.0, 1.0)), (cfg.n_x, cfg.n_x))
-    f1, _ = sp.build_spacetime_F(cfg, disk, grid)
-    f2, _ = sp.build_spacetime_F(cfg, disk, grid)
+    f1 = sp.build_spacetime_F(cfg, disk, grid)
+    f2 = sp.build_spacetime_F(cfg, disk, grid)
     source_free = np.array_equal(f1, f2)
 
     prob = build_lidar_problem(cfg, node_constant=8.0)

@@ -278,18 +278,17 @@ class TestSpaceTimeFactors:
         kern = advdiff_kernel(LidarConfig(n_t=3))
         # the same rows, time-major: every location at t_1, then at t_2, ...
         pts = np.column_stack([np.tile(disk.points, (3, 1)), np.repeat(stm.times, disk.n_points)])
-        time_major = MeshedDomain(disk.domain, pts, disk.cell_measure, stm.bounds, times=stm.times)
+        time_major = MeshedDomain(pts, disk.cell_measure, stm.bounds, times=stm.times)
         with pytest.raises(ValueError, match="location-major"):
             build_lowrank(kern, time_major, grid, 30)
         # a row count that is no multiple of n_t
-        short = MeshedDomain(disk.domain, stm.points[:-1], disk.cell_measure, stm.bounds,
-                             times=stm.times)
+        short = MeshedDomain(stm.points[:-1], disk.cell_measure, stm.bounds, times=stm.times)
         with pytest.raises(ValueError, match="location-major"):
             build_lowrank(kern, short, grid, 30)
         # the times in order, but the first row at the second location
         pts = stm.points.copy()
         pts[0, :2] = stm.points[3, :2]
-        mixed = MeshedDomain(disk.domain, pts, disk.cell_measure, stm.bounds, times=stm.times)
+        mixed = MeshedDomain(pts, disk.cell_measure, stm.bounds, times=stm.times)
         with pytest.raises(ValueError, match="location-major"):
             build_lowrank(kern, mixed, grid, 30)
 

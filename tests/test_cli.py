@@ -109,8 +109,8 @@ class TestDesignCommand:
     def test_deterministic_reruns(self, tmp_path):
         cfg = write_config(tmp_path, TINY_ANALYTIC)
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert main(["--command", "design", "--config", cfg, "--out", str(out1), "--seed", "7"]) == 0
-        assert main(["--command", "design", "--config", cfg, "--out", str(out2), "--seed", "7"]) == 0
+        assert main(["--command", "design", "--config", cfg, "--out", str(out1)]) == 0
+        assert main(["--command", "design", "--config", cfg, "--out", str(out2)]) == 0
         assert (out1 / "design.csv").read_bytes() == (out2 / "design.csv").read_bytes()
 
 
@@ -148,6 +148,17 @@ class TestGapSweep:
         assert rows[0] == ["n", "c", "gap_surrogate", "gap_dense", "time_seconds", "status"]
         assert len(rows) == 5
         assert all(r[-1] == "ok" for r in rows[1:])
+
+    def test_lidar_sweep_without_sizes_rejected(self, tmp_path, monkeypatch):
+        import sensorplace.cli as cli_module
+
+        def no_assemble(*args, **kwargs):
+            raise AssertionError("lidar sweep assembled a problem without sizes")
+
+        # without sizes an analytic sweep runs at n; a lidar one has no size
+        monkeypatch.setattr(cli_module, "_assemble", no_assemble)
+        cfg = write_config(tmp_path, TINY_LIDAR)
+        assert main(["--command", "gap-sweep", "--config", cfg, "--out", str(tmp_path / "z")]) == 2
 
     def test_descending_sizes_rejected(self, tmp_path):
         cfg = write_config(tmp_path, TINY_ANALYTIC)
@@ -192,6 +203,47 @@ class TestSummaryTimings:
         assert summary["timings"]["wall_seconds"] > 0.0
 
 
+# TINY_ANALYTIC's design block; "out" is filled in per run
+ANALYTIC_CONFIG = {"command": "design", "problem": "gauss", "criterion": "A",
+                   "node_constant": 3.0, "out": None, "n": 30, "budget_fraction": 0.2,
+                   "alpha": 1.0, "sigma2_noise": 1.0, "epsilon": 1e-3, "max_outer": 200,
+                   "oracle_cap": 2000, "gap_dense_max_n": 4000}
+
+
+class TestSummaryConfig:
+    """summary.json's config block: the run's fields in declaration order,
+    the lidar config nested, unset and empty fields left out."""
+
+    @staticmethod
+    def config_block(tmp_path, text, *flags):
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), *flags]) == 0
+        return json.loads((out / "summary.json").read_text())["config"], str(out)
+
+    def test_lidar_design(self, tmp_path):
+        config, out = self.config_block(tmp_path, TINY_LIDAR, "--command", "design")
+        lidar = {"c1": 0.1, "c2": 0.0, "mu": 1.0, "horizon": 1.0, "n_t": 2, "p": 3,
+                 "n_d": 8, "n_r": 4, "n_x": 6, "r": 0.2, "alpha": 0.01, "sigma2_noise": 1.0}
+        expected = {"command": "design", "problem": "lidar", "criterion": "A",
+                    "node_constant": 4.0, "out": out, "n": 100, "budget_fraction": 0.2,
+                    "alpha": 0.01, "sigma2_noise": 1.0, "epsilon": 1e-4, "max_outer": 200,
+                    "oracle_cap": 2000, "gap_dense_max_n": 4000, "lidar": lidar}
+        assert list(config.items()) == list(expected.items())
+        assert list(config["lidar"]) == list(lidar)
+
+    def test_analytic_design(self, tmp_path):
+        config, out = self.config_block(tmp_path, TINY_ANALYTIC, "--command", "design")
+        assert list(config.items()) == list({**ANALYTIC_CONFIG, "out": out}.items())
+
+    def test_gap_sweep_lists(self, tmp_path):
+        config, out = self.config_block(tmp_path, TINY_ANALYTIC, "--command", "gap-sweep",
+                                        "--sizes", "16 32", "--constants", "2,3")
+        expected = {**ANALYTIC_CONFIG, "command": "gap-sweep", "out": out,
+                    "sizes": [16, 32], "constants": [2.0, 3.0]}
+        assert list(config.items()) == list(expected.items())
+
+
 class TestExitCodes:
     def test_invalid_config_is_2(self, tmp_path):
         assert main(["--command", "design", "--config", "/missing.cfg"]) == 2
@@ -199,6 +251,13 @@ class TestExitCodes:
     def test_lidar_key_r_for_analytic_problem_is_2(self, tmp_path):
         cfg = write_config(tmp_path, TINY_ANALYTIC + "r = 0.3\n")
         out = tmp_path / "r"
+        assert main(["--command", "design", "--config", cfg, "--out", str(out)]) == 2
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("line", ["n = 500", "budget_fraction = 0.9"])
+    def test_analytic_key_for_lidar_problem_is_2(self, tmp_path, line):
+        cfg = write_config(tmp_path, TINY_LIDAR + line + "\n")
+        out = tmp_path / "n"
         assert main(["--command", "design", "--config", cfg, "--out", str(out)]) == 2
         assert not (out / "summary.json").exists()
 

@@ -62,7 +62,7 @@ class TestBuildMesh:
 
 class TestDiskMesh:
     def test_single_point(self):
-        mesh = build_disk_mesh(DiskSensorDomain(1, 1, 1.0))
+        mesh = build_disk_mesh(DiskSensorDomain(1, 1))
         assert mesh.n_points == 1
         assert mesh.angle[0] == pytest.approx(np.pi)
         assert np.hypot(*mesh.points[0]) == pytest.approx(0.5)
@@ -109,9 +109,7 @@ class TestDenseKernelMatrix:
         kern = gaussian_difference_kernel()
         f = dense_kernel_matrix(kern, mesh, mesh)
         perm = rng.permutation(6)
-        permuted_mesh = type(mesh)(
-            mesh.domain, mesh.points[perm], mesh.cell_measure, mesh.bounds
-        )
+        permuted_mesh = type(mesh)(mesh.points[perm], mesh.cell_measure, mesh.bounds)
         f_perm = dense_kernel_matrix(kern, permuted_mesh, mesh)
         assert_allclose(f_perm, f[perm], rtol=0, atol=0)
 
@@ -127,7 +125,7 @@ class TestDenseKernelMatrix:
                 assert row[0] == spatial.points[i1, 0]
                 assert row[1] == times[i2]
         kern = Kernel(lambda x, y, t: x[..., 0] + 10.0 * t)
-        f = dense_kernel_matrix(kern, spatial, spatial, times=times)
+        f = dense_kernel_matrix(kern, st, spatial)
         expected_col = np.array(
             [spatial.points[i1, 0] + 10.0 * times[i2] for i1 in range(3) for i2 in range(2)]
         )

@@ -15,6 +15,7 @@ from sensorplace import (
     dense_kernel_matrix,
     fourier_coefficients_u0,
     reconstruct_u0,
+    spacetime_mesh,
     transformed_initial_coefficients,
 )
 from sensorplace.lidar import dirichlet_basis, mode_table
@@ -117,18 +118,18 @@ class TestSpacetimeF:
         cfg = LidarConfig(n_t=1, horizon=0.7, n_d=4, n_r=2, n_x=3)
         disk = build_disk_mesh(DiskSensorDomain(4, 2))
         grid = build_mesh(RectDomain((-1.0, -1.0), (1.0, 1.0)), (3, 3))
-        f, row_group = build_spacetime_F(cfg, disk, grid)
-        spatial = dense_kernel_matrix(advdiff_kernel(cfg), disk, grid, times=[0.7])
+        f = build_spacetime_F(cfg, disk, grid)
+        spatial = dense_kernel_matrix(advdiff_kernel(cfg), spacetime_mesh(disk, [0.7]), grid)
         assert_allclose(f, spatial, rtol=1e-12, atol=1e-15)
-        assert row_group.size == 8
+        assert f.shape[0] == 8
 
     def test_row_layout_and_groups(self):
         cfg = LidarConfig(n_d=2, n_r=1, n_t=2, n_x=2)
         disk = build_disk_mesh(DiskSensorDomain(2, 1))
         grid = build_mesh(RectDomain((-1.0, -1.0), (1.0, 1.0)), (2, 2))
-        f, row_group = build_spacetime_F(cfg, disk, grid)
+        f = build_spacetime_F(cfg, disk, grid)
         assert f.shape == (4, 4)
-        assert_allclose(row_group, [0, 0, 1, 1])
+        assert_allclose(spacetime_mesh(disk, cfg.times).sector, [0, 0, 1, 1])
         kern = advdiff_kernel(cfg)
         dy = grid.cell_measure
         for loc in range(2):
@@ -140,16 +141,16 @@ class TestSpacetimeF:
         cfg = LidarConfig(n_d=5, n_r=3, n_t=2, n_x=4)
         disk = build_disk_mesh(DiskSensorDomain(5, 3))
         grid = build_mesh(RectDomain((-1.0, -1.0), (1.0, 1.0)), (4, 4))
-        fast, _ = build_spacetime_F(cfg, disk, grid)
-        generic = dense_kernel_matrix(advdiff_kernel(cfg), disk, grid, times=cfg.times)
+        fast = build_spacetime_F(cfg, disk, grid)
+        generic = dense_kernel_matrix(advdiff_kernel(cfg), spacetime_mesh(disk, cfg.times), grid)
         assert_allclose(fast, generic, rtol=1e-12, atol=1e-16)
 
     def test_source_independence_bit_identical(self):
         cfg = LidarConfig(n_d=6, n_r=2, n_t=3, n_x=4)
         disk = build_disk_mesh(DiskSensorDomain(6, 2))
         grid = build_mesh(RectDomain((-1.0, -1.0), (1.0, 1.0)), (4, 4))
-        f1, _ = build_spacetime_F(cfg, disk, grid)
-        f2, _ = build_spacetime_F(cfg, disk, grid)
+        f1 = build_spacetime_F(cfg, disk, grid)
+        f2 = build_spacetime_F(cfg, disk, grid)
         assert np.array_equal(f1, f2)
         # the source changes the observable field but never enters F
         coeffs = transformed_initial_coefficients(cfg, sin_sin)
@@ -164,7 +165,8 @@ class TestSpacetimeF:
         cfg = LidarConfig(n_d=4, n_r=2, n_t=5, n_x=3)
         disk = build_disk_mesh(DiskSensorDomain(4, 2))
         grid = build_mesh(RectDomain((-1.0, -1.0), (1.0, 1.0)), (3, 3))
-        f, row_group = build_spacetime_F(cfg, disk, grid)
+        f = build_spacetime_F(cfg, disk, grid)
+        row_group = spacetime_mesh(disk, cfg.times).sector
         setup = BayesSetup(alpha=0.1)
         w = rng.uniform(0.2, 0.9, 4)
         _, grad, _ = dense_objective_and_derivatives(
@@ -256,10 +258,9 @@ class TestBuildLidarProblem:
         assert prob.sector_angles.size == 8
         assert prob.setup.alpha == cfg.alpha
         assert prob.dense_f.shape == (96, 36)
-        # the row map and the angles are those of the dense F and of the
-        # beam midlines 2 pi (k + 1/2) / n_d, to the bit
-        _, row_group = build_spacetime_F(cfg, prob.disk_mesh, prob.input_mesh)
-        np.testing.assert_array_equal(prob.row_group, row_group)
+        # the row map is the dense F's location-major, time-minor layout, and
+        # the angles are the beam midlines 2 pi (k + 1/2) / n_d, to the bit
+        np.testing.assert_array_equal(prob.row_group, np.repeat(np.arange(8), 4 * 3))
         np.testing.assert_array_equal(prob.sector_angles, 2.0 * np.pi * (np.arange(8) + 0.5) / 8)
 
     def test_design_path_never_forms_coef_out(self):

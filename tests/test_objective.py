@@ -256,12 +256,6 @@ class TestDenseObjectiveAndDerivatives:
         eigs = np.linalg.eigvalsh(hess)
         assert eigs.min() >= -1e-10 * max(eigs.max(), 1e-30)
 
-    def test_oracle_cap(self):
-        f = np.zeros((3, 3))
-        with pytest.raises(ValueError):
-            dense_objective_and_derivatives(f, DesignWeights(np.ones(3), 3.0),
-                                            BayesSetup(alpha=1.0), oracle_cap=2)
-
     def test_group_gradient_sums_time_rows(self, rng):
         # two locations x three times sharing per-location weights
         n_loc, n_t, m = 2, 3, 8
