@@ -53,6 +53,11 @@ ANALYTIC_KERNELS = {
 }
 
 
+# SQP stopping threshold of the ``oracle`` command's dense design; it
+# takes the place of the config's ``epsilon``.
+ORACLE_EPSILON = 1e-8
+
+
 class ConfigError(ValueError):
     """Raised for malformed or inconsistent run configuration."""
 
@@ -81,9 +86,8 @@ class RunSpec:
     sizes: list = field(default_factory=list)
     constants: list = field(default_factory=list)
 
-    def sqp_config(self, epsilon=None) -> SqpConfig:
-        return SqpConfig(epsilon=self.epsilon if epsilon is None else epsilon,
-                         max_outer=self.max_outer)
+    def sqp_config(self) -> SqpConfig:
+        return SqpConfig(epsilon=self.epsilon, max_outer=self.max_outer)
 
 
 def parse_config(path) -> dict:
@@ -214,14 +218,14 @@ def _assemble(spec: RunSpec, size=None, constant=None) -> _Assembled:
     )
 
 
-def _design_once(spec: RunSpec, assembled: _Assembled, kernel_matrix=None, epsilon=None):
+def _design_once(config: SqpConfig, assembled: _Assembled, kernel_matrix=None):
     """Relaxed SQP design on the surrogate (or on ``kernel_matrix``), then
     sum-up rounding in natural or angular order."""
     result = solve_relaxed(
         assembled.lowrank if kernel_matrix is None else kernel_matrix,
         assembled.setup,
         assembled.budget,
-        spec.sqp_config(epsilon),
+        config,
         row_group=assembled.row_group,
     )
     plan = (natural_plan(result.weights.n_weights) if assembled.angles is None
@@ -259,7 +263,7 @@ def _summary_base(spec: RunSpec) -> dict:
 
 def cmd_design(spec: RunSpec) -> dict:
     assembled = _assemble(spec)
-    result, w_int = _design_once(spec, assembled)
+    result, w_int = _design_once(spec.sqp_config(), assembled)
     gap = integrality_gap(assembled.lowrank, assembled.setup, result.weights, w_int)
     relaxed = float(result.objective_trace[-1])
     metrics = {
@@ -290,7 +294,8 @@ def cmd_oracle(spec: RunSpec) -> dict:
             f"oracle refuses problems beyond {spec.oracle_cap} rows/cols (got {shape})"
         )
     f_dense = assembled.dense_builder()
-    result, w_int = _design_once(spec, assembled, kernel_matrix=f_dense, epsilon=1e-8)
+    config = replace(spec.sqp_config(), epsilon=ORACLE_EPSILON)
+    result, w_int = _design_once(config, assembled, kernel_matrix=f_dense)
     _write_design_csv(spec, "oracle.csv", result.weights.w, w_int.w, assembled.angles)
     return {
         "objective_dense_relaxed": float(result.objective_trace[-1]),
@@ -313,7 +318,7 @@ def cmd_gap_sweep(spec: RunSpec) -> dict:
             started = time.perf_counter()
             try:
                 assembled = _assemble(spec, size=n, constant=c)
-                result, w_int = _design_once(spec, assembled)
+                result, w_int = _design_once(spec.sqp_config(), assembled)
                 dense_f = None
                 if max(assembled.lowrank.n_rows, assembled.lowrank.n_cols) <= spec.gap_dense_max_n:
                     dense_f = assembled.dense_builder()

@@ -1,16 +1,16 @@
 """Sequential quadratic programming outer loop with backtracking line search.
 
 Each iteration builds the quadratic model of the design criterion at the
-current weights (gradient and Hessian rows from the surrogate, or exact
-dense ones cut to rows in oracle mode), solves the box-plus-budget QP for
-a step p, and backtracks on the true objective until the
-sufficient-decrease condition
+current weights (value, gradient and Hessian rows from the surrogate's
+``PosteriorEngine``), solves the box-plus-budget QP for a step p, and
+backtracks on the same objective until the sufficient-decrease condition
 
     phi(w + a p) <= phi(w) + xi * a * g^T p
 
-holds.  Duals follow the convex-combination update
-lam <- lam + a (lam_qp - lam).  The loop stops once the objective decrease
-falls below ``epsilon``.
+holds.  The loop stops once the objective decrease falls below
+``epsilon``.  A dense kernel matrix F runs as the exact factorization
+I F I, a ``LowRankKernel`` with identity output and input coefficients,
+through the same engine, Hessian-row cut and loop.
 """
 
 from __future__ import annotations
@@ -22,14 +22,8 @@ import numpy as np
 
 from .chebyshev import LowRankKernel
 from .exceptions import NonconvergenceError, NumericalFailure
-from .objective import (
-    BayesSetup,
-    DesignWeights,
-    dense_objective_and_derivatives,
-    dense_objective_value,
-    shared_engine,
-)
-from .qp_solver import QpProblem, hessian_rows, solve_qp
+from .objective import BayesSetup, DesignWeights, shared_engine
+from .qp_solver import QpProblem, solve_qp
 
 __all__ = ["SqpConfig", "SqpResult", "initial_point", "solve_relaxed"]
 
@@ -63,7 +57,6 @@ class SqpConfig:
 class SqpResult:
     weights: DesignWeights
     objective_trace: np.ndarray
-    dual: np.ndarray
     iterations: int
     status: str
     step_lengths: list = field(default_factory=list)
@@ -77,47 +70,6 @@ def initial_point(n_weights: int, budget: float, row_group=None) -> DesignWeight
     return DesignWeights(w, budget, row_group=row_group)
 
 
-class _SurrogateObjective:
-    def __init__(self, lowrank: LowRankKernel, setup: BayesSetup, row_group=None):
-        self.engine = shared_engine(lowrank, setup, row_group)
-        self.n_weights = self.engine.n_weights
-
-    def value(self, w):
-        return self.engine.value(w)
-
-    def derivatives(self, w):
-        value, deriv = self.engine.derivatives(w)
-        return value, deriv.gradient, deriv.hessian_rows
-
-
-class _DenseObjective:
-    def __init__(self, f_matrix: np.ndarray, setup: BayesSetup, row_group=None):
-        self.f = np.asarray(f_matrix, dtype=float)
-        self.setup = setup
-        self.row_group = row_group
-        self.n_weights = (
-            self.f.shape[0] if row_group is None else int(np.max(row_group)) + 1
-        )
-
-    def _weights(self, w):
-        return DesignWeights(w, budget=float(self.n_weights), row_group=self.row_group)
-
-    def value(self, w):
-        return dense_objective_value(self.f, self._weights(w), self.setup)
-
-    def derivatives(self, w):
-        value, gradient, hessian = dense_objective_and_derivatives(
-            self.f, self._weights(w), self.setup
-        )
-        return value, gradient, hessian_rows(hessian)
-
-
-def _make_model(kernel_matrix, setup, row_group):
-    if isinstance(kernel_matrix, LowRankKernel):
-        return _SurrogateObjective(kernel_matrix, setup, row_group)
-    return _DenseObjective(kernel_matrix, setup, row_group)
-
-
 def solve_relaxed(
     kernel_matrix,
     setup: BayesSetup,
@@ -128,7 +80,9 @@ def solve_relaxed(
     """Minimize the relaxed design criterion over 0 <= w <= 1, sum w <= n0.
 
     ``kernel_matrix`` is a LowRankKernel (surrogate mode) or a dense array
-    (exact oracle mode).  Line-search objective values use the same route
+    F (exact oracle mode), which enters once, at entry, as the exact
+    factorization ``LowRankKernel(I, F, I)``; both then run through one
+    ``shared_engine``.  Line-search objective values use the same engine
     as the derivatives, so the Armijo test sees the function the model
     describes.  Failures of the derivatives or the QP propagate with the
     outer-iteration context.
@@ -141,12 +95,13 @@ def solve_relaxed(
     backtracks met the sufficient-decrease test (``iterations`` counts
     that failed iteration; the weights stay at the last accepted point).
     """
-    model = _make_model(kernel_matrix, setup, row_group)
-    n_w = model.n_weights
-    start = initial_point(n_w, budget, row_group=row_group)
+    if not isinstance(kernel_matrix, LowRankKernel):
+        f = np.asarray(kernel_matrix, dtype=float)
+        kernel_matrix = LowRankKernel(np.eye(f.shape[0]), f, np.eye(f.shape[1]))
+    engine = shared_engine(kernel_matrix, setup, row_group)
+    start = initial_point(engine.n_weights, budget, row_group=row_group)
     w = start.w.copy()
-    dual = np.zeros(2 * n_w + 1)
-    current = model.value(w)
+    current = engine.value(w)
     trace = [current]
     steps: list[float] = []
     status = "max_outer"
@@ -154,10 +109,11 @@ def solve_relaxed(
 
     for k in range(config.max_outer):
         try:
-            current, g, rows = model.derivatives(w)
+            current, deriv = engine.derivatives(w)
+            g = deriv.gradient
             qp = QpProblem(
                 g=g,
-                rows=rows,
+                rows=deriv.hessian_rows,
                 box_low=-w,
                 box_high=1.0 - w,
                 budget_rhs=budget - w.sum(),
@@ -174,7 +130,7 @@ def solve_relaxed(
                 err.diagnostics,
             ) from err
         # the r x n Hessian rows are spent: free them before the line search
-        del rows, qp
+        del deriv, qp
         p = sol.p
         slope = float(g @ p)
         # Convexity bounds any decrease along p by |g^T p|; once that is
@@ -189,7 +145,7 @@ def solve_relaxed(
         candidate_value = current
         for _ in range(MAX_BACKTRACKS):
             candidate = np.clip(w + alpha * p, 0.0, 1.0)
-            candidate_value = model.value(candidate)
+            candidate_value = engine.value(candidate)
             if candidate_value <= current + SUFFICIENT_DECREASE * alpha * slope:
                 accepted = True
                 break
@@ -200,7 +156,6 @@ def solve_relaxed(
             break
 
         w = candidate
-        dual = dual + alpha * (sol.lam - dual)
         trace.append(candidate_value)
         steps.append(alpha)
         if current - candidate_value < config.epsilon:
@@ -211,7 +166,6 @@ def solve_relaxed(
     return SqpResult(
         weights=weights,
         objective_trace=np.asarray(trace),
-        dual=dual,
         iterations=iterations,
         status=status,
         step_lengths=steps,

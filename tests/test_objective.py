@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from sensorplace import (
@@ -576,3 +578,50 @@ class TestStructuralProperties:
             via_spectrum = PosteriorEngine(lowrank, setup).value(weights.w)
             via_dense = dense_objective_value(lowrank.dense(), weights, setup)
             assert via_spectrum == pytest.approx(via_dense, rel=1e-8)
+
+
+class TestIdentityFactorization:
+    """A dense F runs through the engine as the exact factorization I F I;
+    its value, gradient and Hessian rows match the dense oracle."""
+
+    @staticmethod
+    def draw(seed):
+        """F (wide or tall, full rank or rank deficient), weights in [0, 1],
+        a setup, and contiguous row groups or none."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 40))
+        m = int(rng.integers(n + 1, 60)) if rng.random() < 0.5 else int(rng.integers(1, n))
+        if min(n, m) > 1 and rng.random() < 0.5:
+            k = int(rng.integers(1, min(n, m)))
+            f = rng.normal(size=(n, k)) @ rng.normal(size=(k, m))
+        else:
+            f = rng.normal(size=(n, m))
+        setup = BayesSetup(
+            alpha=10.0 ** rng.uniform(-3.0, 0.0),
+            sigma2_noise=10.0 ** rng.uniform(-6.0, 0.0),
+            criterion=str(rng.choice(["A", "D"])),
+        )
+        row_group = None
+        if rng.random() < 0.5:
+            n_groups = int(rng.integers(1, n + 1))
+            cuts = np.sort(rng.choice(np.arange(1, n), n_groups - 1, replace=False))
+            row_group = np.repeat(np.arange(n_groups), np.diff(np.concatenate(([0], cuts, [n]))))
+        n_w = n if row_group is None else n_groups
+        return f, rng.uniform(0.0, 1.0, n_w), setup, row_group
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_dense_oracle(self, seed):
+        f, w, setup, row_group = self.draw(seed)
+        n, m = f.shape
+        engine = PosteriorEngine(LowRankKernel(np.eye(n), f, np.eye(m)), setup, row_group)
+        value, deriv = engine.derivatives(w)
+        weights = DesignWeights(w, float(w.size), row_group=row_group)
+        dense_value, dense_grad, dense_hess = dense_objective_and_derivatives(f, weights, setup)
+        assert abs(value - dense_value) <= 1e-8 * abs(dense_value)
+        assert engine.value(w) == value
+        grad_err = np.abs(deriv.gradient - dense_grad).max()
+        assert grad_err <= 1e-10 * np.abs(dense_grad).max()
+        rows = deriv.hessian_rows
+        hess_err = np.abs(rows.T @ rows - dense_hess).max()
+        assert hess_err <= 1e-10 * np.abs(dense_hess).max()

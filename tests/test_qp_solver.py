@@ -422,3 +422,35 @@ class TestErrors:
             solve_qp(prob)
         assert err.value.diagnostics["iteration"] == 0
         assert err.value.diagnostics["r_dual"] is None
+
+
+class TestThinBudgetSqpStep:
+    """Feasible convex QPs shaped like an SQP step: g < 0, the box
+    [-w, 1 - w] around weights that fill 0.999 of the budget b, a budget
+    right-hand side of 0.001 b, and ||W|| far below ||g||.  The solver
+    fails on these two: at seed 94 mu reaches 9e-10 while the dual
+    residual stays at 0.5 for 100 iterations, and at seed 157 the
+    iterate turns non-finite at iteration 37."""
+
+    @staticmethod
+    def sqp_step_problem(seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(5, 200))
+        r = int(rng.integers(1, 8))
+        w = rng.uniform(0, 1, n)
+        b = float(rng.uniform(0.5, 3.0))
+        w *= b * 0.999 / w.sum()
+        rows = rng.normal(size=(r, n))
+        rows *= 10 ** rng.uniform(-4, 1)
+        g = -np.abs(rng.normal(size=n))
+        g *= 10 ** rng.uniform(-8, 1)
+        return QpProblem(g, rows, -w, 1.0 - w, b - w.sum())
+
+    @pytest.mark.xfail(strict=True, raises=(NonconvergenceError, NumericalFailure),
+                       reason="interior-point loop fails on thin-budget SQP-step QPs")
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("seed", [94, 157])
+    def test_solves_thin_budget_step(self, seed):
+        prob = self.sqp_step_problem(seed)
+        sol = solve_qp(prob)
+        assert sol.p.sum() <= prob.budget_rhs + 1e-9
