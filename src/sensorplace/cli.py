@@ -8,11 +8,13 @@ gap-sweep     integrality gaps over problem sizes x node constants
 lidar-sanity  truncated-series reconstruction error per mode cutoff
 
 Configuration is a flat key = value text file (``#`` comments allowed);
-``--command`` and other flags override file entries.  Exit codes:
-0 success, 2 invalid configuration, 3 solver failure.  summary.json's
-``status`` is ``ok``, ``not_converged`` (the SQP stopped without
-converging; exit code 0) or ``error``.  Per-layer timing
-lives in the benchmark, ``python3 perfbench/run.py``.
+``--command`` and other flags override file entries.  summary.json's
+``config`` block holds the values the run used under the same flat keys,
+so written back as a file it reruns the run.  Exit codes: 0 success,
+2 invalid configuration, 3 solver failure.  summary.json's ``status`` is
+``ok``, ``not_converged`` (the SQP stopped without converging; exit
+code 0) or ``error``.  Per-layer timing lives in the benchmark,
+``python3 perfbench/run.py``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields as dataclass_fields, replace
+from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -53,9 +55,12 @@ ANALYTIC_KERNELS = {
 }
 
 
-# SQP stopping threshold of the ``oracle`` command's dense design; it
-# takes the place of the config's ``epsilon``.
+# The ``oracle`` command's SQP stopping threshold, in place of the config's
+# ``epsilon``, and the largest dense F (rows or columns): the oracle
+# refuses larger problems, design and gap-sweep leave their dense figures out.
 ORACLE_EPSILON = 1e-8
+ORACLE_MAX_N = 2000
+DENSE_MAX_N = 4000
 
 
 class ConfigError(ValueError):
@@ -71,17 +76,14 @@ class RunSpec:
     criterion: str = "A"
     node_constant: float = 8.0
     out: str = "."
-    # analytic-kernel problems
-    n: int = 100
-    budget_fraction: float = 0.2
+    # analytic-kernel problems; None on a lidar problem
+    n: int | None = 100
+    budget_fraction: float | None = 0.2
     alpha: float = 0.01
     sigma2_noise: float = 1.0
     # SQP
     epsilon: float = 1e-3
     max_outer: int = 200
-    # dense-oracle limits
-    oracle_cap: int = 2000
-    gap_dense_max_n: int = 4000
     lidar: LidarConfig | None = None
     sizes: list = field(default_factory=list)
     constants: list = field(default_factory=list)
@@ -151,6 +153,8 @@ def build_runspec(entries: dict, overrides: dict) -> RunSpec:
         raise ConfigError(f"bad solver configuration: {err}") from err
     if not (0.0 < spec.budget_fraction <= 1.0 and 0.0 < spec.node_constant < np.inf):
         raise ConfigError("budget_fraction must lie in (0, 1], node_constant be positive and finite")
+    if spec.command == "oracle":
+        spec.epsilon = ORACLE_EPSILON
     if spec.problem == "lidar":
         # a lidar problem is sized by n_d, n_r, n_x and budgeted by r
         if {"n", "budget_fraction"} & merged.keys():
@@ -160,6 +164,7 @@ def build_runspec(entries: dict, overrides: dict) -> RunSpec:
                                      **lidar_kwargs)
         except (TypeError, ValueError) as err:
             raise ConfigError(f"bad lidar configuration: {err}") from err
+        spec.n = spec.budget_fraction = None
     elif lidar_kwargs:
         raise ConfigError("lidar keys supplied for a non-lidar problem")
     return spec
@@ -190,11 +195,17 @@ class _Assembled:
     angles: np.ndarray | None
     dense_builder: object  # () -> dense F, of the surrogate's shape
 
+    def dense_f(self, max_n):
+        """The dense F, or None when its rows or columns exceed ``max_n``."""
+        if max(self.lowrank.n_rows, self.lowrank.n_cols) > max_n:
+            return None
+        return self.dense_builder()
+
 
 def _assemble(spec: RunSpec, size=None, constant=None) -> _Assembled:
     constant = spec.node_constant if constant is None else constant
     if spec.problem == "lidar":
-        cfg = spec.lidar or LidarConfig()
+        cfg = spec.lidar
         if size is not None:
             cfg = replace(cfg, n_d=size, n_r=size, n_x=size)
         prob = build_lidar_problem(cfg, constant, criterion=spec.criterion)
@@ -257,7 +268,9 @@ def _write_summary(out_dir, payload):
 
 
 def _summary_base(spec: RunSpec) -> dict:
-    config = {k: v for k, v in asdict(spec).items() if v is not None and v != []}
+    # the lidar keys at top level, alpha and sigma2_noise once
+    merged = {**vars(spec), **(vars(spec.lidar) if spec.lidar else {})}
+    config = {k: v for k, v in merged.items() if k != "lidar" and v is not None and v != []}
     return {"command": spec.command, "config": config}
 
 
@@ -276,8 +289,8 @@ def cmd_design(spec: RunSpec) -> dict:
         "sum_w_int": float(w_int.w.sum()),
         "gap_surrogate": gap.surrogate,
     }
-    if max(assembled.lowrank.n_rows, assembled.lowrank.n_cols) <= spec.gap_dense_max_n:
-        f_dense = assembled.dense_builder()
+    f_dense = assembled.dense_f(DENSE_MAX_N)
+    if f_dense is not None:
         metrics["objective_dense_relaxed"] = dense_objective_value(
             f_dense, result.weights, assembled.setup
         )
@@ -288,14 +301,11 @@ def cmd_design(spec: RunSpec) -> dict:
 
 def cmd_oracle(spec: RunSpec) -> dict:
     assembled = _assemble(spec)
-    shape = (assembled.lowrank.n_rows, assembled.lowrank.n_cols)
-    if max(shape) > spec.oracle_cap:
-        raise ConfigError(
-            f"oracle refuses problems beyond {spec.oracle_cap} rows/cols (got {shape})"
-        )
-    f_dense = assembled.dense_builder()
-    config = replace(spec.sqp_config(), epsilon=ORACLE_EPSILON)
-    result, w_int = _design_once(config, assembled, kernel_matrix=f_dense)
+    f_dense = assembled.dense_f(ORACLE_MAX_N)
+    if f_dense is None:
+        shape = (assembled.lowrank.n_rows, assembled.lowrank.n_cols)
+        raise ConfigError(f"oracle refuses problems beyond {ORACLE_MAX_N} rows/cols (got {shape})")
+    result, w_int = _design_once(spec.sqp_config(), assembled, kernel_matrix=f_dense)
     _write_design_csv(spec, "oracle.csv", result.weights.w, w_int.w, assembled.angles)
     return {
         "objective_dense_relaxed": float(result.objective_trace[-1]),
@@ -319,12 +329,8 @@ def cmd_gap_sweep(spec: RunSpec) -> dict:
             try:
                 assembled = _assemble(spec, size=n, constant=c)
                 result, w_int = _design_once(spec.sqp_config(), assembled)
-                dense_f = None
-                if max(assembled.lowrank.n_rows, assembled.lowrank.n_cols) <= spec.gap_dense_max_n:
-                    dense_f = assembled.dense_builder()
-                gap = integrality_gap(
-                    assembled.lowrank, assembled.setup, result.weights, w_int, dense_f=dense_f
-                )
+                gap = integrality_gap(assembled.lowrank, assembled.setup, result.weights, w_int,
+                                      dense_f=assembled.dense_f(DENSE_MAX_N))
                 rows.append([n, c, gap.surrogate,
                              "" if gap.dense is None else gap.dense,
                              time.perf_counter() - started, "ok"])

@@ -92,10 +92,6 @@ class DesignWeights:
     def n_weights(self) -> int:
         return self.w.size
 
-    @property
-    def n_rows(self) -> int:
-        return self.w.size if self.row_group is None else self.row_group.size
-
     def row_weights(self) -> np.ndarray:
         if self.row_group is None:
             return self.w

@@ -121,9 +121,11 @@ def integrality_gap(
 ) -> GapReport:
     """Objective increase of the rounded design over the relaxed one.
 
-    The surrogate gap phi_s(w_int) - phi_s(w_rel) is nonnegative up to
-    round-off because w_rel minimizes the relaxation.  The dense gap is
-    reported when the full matrix is supplied.
+    The surrogate gap phi_s(w_int) - phi_s(w_rel) is nonnegative when
+    w_rel minimizes the relaxation.  The SQP's stopping test does not
+    certify that, so a stopped w_rel can sit slightly above the minimum
+    and the gap read slightly negative.  The dense gap is reported when
+    the full matrix is supplied.
     """
     if w_rel.n_weights != w_int.n_weights:
         raise ValueError("weight vectors must have the same length")

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,6 +97,7 @@ class TestDesignCommand:
         assert summary["status"] == "not_converged"
 
     def test_dense_guard_counts_rows(self, tmp_path, monkeypatch):
+        import sensorplace.cli as cli_module
         import sensorplace.lidar as lidar_module
 
         def no_dense_f(*args, **kwargs):
@@ -100,7 +105,8 @@ class TestDesignCommand:
 
         # TINY_LIDAR's F is 64 x 36: its columns pass a guard of 40, its rows do not.
         monkeypatch.setattr(lidar_module, "build_spacetime_F", no_dense_f)
-        cfg = write_config(tmp_path, TINY_LIDAR + "gap_dense_max_n = 40\n")
+        monkeypatch.setattr(cli_module, "DENSE_MAX_N", 40)
+        cfg = write_config(tmp_path, TINY_LIDAR)
         out = tmp_path / "guard"
         assert main(["--command", "design", "--config", cfg, "--out", str(out)]) == 0
         metrics = json.loads((out / "summary.json").read_text())["metrics"]
@@ -130,8 +136,22 @@ class TestOracleCommand:
 
         # The cap is checked on the surrogate's shape, before any dense F.
         monkeypatch.setattr(cli_module, "dense_kernel_matrix", no_dense_f)
-        cfg = write_config(tmp_path, TINY_ANALYTIC + "oracle_cap = 10\n")
-        assert main(["--command", "oracle", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        monkeypatch.setattr(cli_module, "ORACLE_MAX_N", 10)
+        cfg = write_config(tmp_path, TINY_ANALYTIC)
+        out = tmp_path / "x"
+        assert main(["--command", "oracle", "--config", cfg, "--out", str(out)]) == 2
+        assert not (out / "summary.json").exists()
+
+    def test_lidar_oracle_rows_are_sectors(self, tmp_path):
+        cfg = write_config(tmp_path, TINY_LIDAR)
+        out = tmp_path / "lidar"
+        assert main(["--command", "oracle", "--config", cfg, "--out", str(out)]) == 0
+        with open(out / "oracle.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["index", "angle", "w_rel", "w_int"]
+        # one row per sector, n_d = 8, at the sector centres 2 pi (k + 1/2) / n_d
+        angles = np.array([float(r[1]) for r in rows[1:]])
+        np.testing.assert_allclose(angles, 2 * np.pi * (np.arange(8) + 0.5) / 8)
 
 
 class TestGapSweep:
@@ -148,6 +168,23 @@ class TestGapSweep:
         assert rows[0] == ["n", "c", "gap_surrogate", "gap_dense", "time_seconds", "status"]
         assert len(rows) == 5
         assert all(r[-1] == "ok" for r in rows[1:])
+
+    # TINY_LIDAR at size 4 has a 32 x 16 F, at size 6 a 72 x 36 one
+    @pytest.mark.parametrize("max_n, filled", [(None, [True, True]), (40, [True, False])])
+    def test_lidar_sweep_gap_dense(self, tmp_path, monkeypatch, max_n, filled):
+        import sensorplace.cli as cli_module
+
+        if max_n is not None:
+            monkeypatch.setattr(cli_module, "DENSE_MAX_N", max_n)
+        cfg = write_config(tmp_path, TINY_LIDAR)
+        out = tmp_path / "sweep"
+        assert main(["--command", "gap-sweep", "--config", cfg,
+                     "--sizes", "4,6", "--out", str(out)]) == 0
+        with open(out / "gap_sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["n"] for r in rows] == ["4", "6"]
+        assert all(r["status"] == "ok" for r in rows)
+        assert [r["gap_dense"] != "" for r in rows] == filled
 
     def test_lidar_sweep_without_sizes_rejected(self, tmp_path, monkeypatch):
         import sensorplace.cli as cli_module
@@ -206,13 +243,12 @@ class TestSummaryTimings:
 # TINY_ANALYTIC's design block; "out" is filled in per run
 ANALYTIC_CONFIG = {"command": "design", "problem": "gauss", "criterion": "A",
                    "node_constant": 3.0, "out": None, "n": 30, "budget_fraction": 0.2,
-                   "alpha": 1.0, "sigma2_noise": 1.0, "epsilon": 1e-3, "max_outer": 200,
-                   "oracle_cap": 2000, "gap_dense_max_n": 4000}
+                   "alpha": 1.0, "sigma2_noise": 1.0, "epsilon": 1e-3, "max_outer": 200}
 
 
 class TestSummaryConfig:
     """summary.json's config block: the run's fields in declaration order,
-    the lidar config nested, unset and empty fields left out."""
+    then the lidar config's other fields, unset and empty fields left out."""
 
     @staticmethod
     def config_block(tmp_path, text, *flags):
@@ -223,14 +259,11 @@ class TestSummaryConfig:
 
     def test_lidar_design(self, tmp_path):
         config, out = self.config_block(tmp_path, TINY_LIDAR, "--command", "design")
-        lidar = {"c1": 0.1, "c2": 0.0, "mu": 1.0, "horizon": 1.0, "n_t": 2, "p": 3,
-                 "n_d": 8, "n_r": 4, "n_x": 6, "r": 0.2, "alpha": 0.01, "sigma2_noise": 1.0}
         expected = {"command": "design", "problem": "lidar", "criterion": "A",
-                    "node_constant": 4.0, "out": out, "n": 100, "budget_fraction": 0.2,
-                    "alpha": 0.01, "sigma2_noise": 1.0, "epsilon": 1e-4, "max_outer": 200,
-                    "oracle_cap": 2000, "gap_dense_max_n": 4000, "lidar": lidar}
+                    "node_constant": 4.0, "out": out, "alpha": 0.01, "sigma2_noise": 1.0,
+                    "epsilon": 1e-4, "max_outer": 200, "c1": 0.1, "c2": 0.0, "mu": 1.0,
+                    "horizon": 1.0, "n_t": 2, "p": 3, "n_d": 8, "n_r": 4, "n_x": 6, "r": 0.2}
         assert list(config.items()) == list(expected.items())
-        assert list(config["lidar"]) == list(lidar)
 
     def test_analytic_design(self, tmp_path):
         config, out = self.config_block(tmp_path, TINY_ANALYTIC, "--command", "design")
@@ -243,6 +276,77 @@ class TestSummaryConfig:
                     "sizes": [16, 32], "constants": [2.0, 3.0]}
         assert list(config.items()) == list(expected.items())
 
+    # TINY_LIDAR sets epsilon = 1e-4, TINY_ANALYTIC leaves the default 1e-3
+    @pytest.mark.parametrize("text", [TINY_LIDAR, TINY_ANALYTIC], ids=["lidar", "analytic"])
+    def test_oracle_records_its_epsilon(self, tmp_path, text):
+        config, _ = self.config_block(tmp_path, text, "--command", "oracle")
+        assert config["epsilon"] == 1e-8
+
+
+def run_outputs(out):
+    """A run's CSV tables (gap-sweep without time_seconds) and metrics."""
+    tables = {}
+    for path in sorted(out.glob("*.csv")):
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        if path.name == "gap_sweep.csv":
+            rows = [row[:4] + row[5:] for row in rows]
+        tables[path.name] = rows
+    return tables, json.loads((out / "summary.json").read_text())["metrics"]
+
+
+def config_lines(config):
+    """A config block written back as a config file, ``out`` dropped."""
+    return "".join(f"{key} = {','.join(map(str, value)) if isinstance(value, list) else value}\n"
+                   for key, value in config.items() if key != "out")
+
+
+class TestConfigRoundTrip:
+    """Each run's config block, written back as a config file, reruns it."""
+
+    RUNS = {
+        "design-lidar": ("design", TINY_LIDAR, []),
+        "design-analytic": ("design", TINY_ANALYTIC, []),
+        "oracle-lidar": ("oracle", TINY_LIDAR, []),
+        "oracle-analytic": ("oracle", TINY_ANALYTIC, []),
+        "sweep-analytic": ("gap-sweep", TINY_ANALYTIC, ["--sizes", "16,32", "--constants", "2,3"]),
+        "sweep-lidar": ("gap-sweep", TINY_LIDAR, ["--sizes", "4,6"]),
+        "sanity": ("lidar-sanity", TINY_LIDAR, ["--sizes", "1,2,3"]),
+    }
+
+    @pytest.mark.parametrize("command, text, flags", list(RUNS.values()), ids=list(RUNS))
+    def test_rerun_from_config_block(self, tmp_path, command, text, flags):
+        first = tmp_path / "first"
+        cfg = write_config(tmp_path, text)
+        assert main(["--command", command, "--config", cfg, "--out", str(first), *flags]) == 0
+        pairs = json.loads((first / "summary.json").read_text(),
+                           object_pairs_hook=lambda items: items)
+        config_pairs = dict(pairs)["config"]
+        keys = [key for key, _ in config_pairs]
+        assert len(keys) == len(set(keys)) and "lidar" not in keys
+        if "n_d" in keys:
+            assert not {"n", "budget_fraction"} & set(keys)
+        again = tmp_path / "again"
+        cfg = write_config(tmp_path, config_lines(dict(config_pairs)), name="again.cfg")
+        assert main(["--config", cfg, "--out", str(again)]) == 0
+        assert run_outputs(again) == run_outputs(first)
+
+
+def test_module_entry_point(tmp_path):
+    """``python -m sensorplace`` runs the CLI through ``__main__``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = tmp_path / "entry"
+    done = subprocess.run(
+        [sys.executable, "-m", "sensorplace", "--command", "lidar-sanity",
+         "--sizes", "1,2", "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["command"] == "lidar-sanity" and summary["status"] == "ok"
+    assert set(summary["metrics"]) == {"1", "2"}
+
 
 class TestExitCodes:
     def test_invalid_config_is_2(self, tmp_path):
@@ -252,6 +356,14 @@ class TestExitCodes:
         cfg = write_config(tmp_path, TINY_ANALYTIC + "r = 0.3\n")
         out = tmp_path / "r"
         assert main(["--command", "design", "--config", cfg, "--out", str(out)]) == 2
+        assert not (out / "summary.json").exists()
+
+    # the dense limits are constants of the module, not configuration
+    @pytest.mark.parametrize("line", ["oracle_cap = 10", "gap_dense_max_n = 40"])
+    def test_dense_limit_key_is_2(self, tmp_path, line):
+        cfg = write_config(tmp_path, TINY_ANALYTIC + line + "\n")
+        out = tmp_path / "limit"
+        assert main(["--command", "oracle", "--config", cfg, "--out", str(out)]) == 2
         assert not (out / "summary.json").exists()
 
     @pytest.mark.parametrize("line", ["n = 500", "budget_fraction = 0.9"])

@@ -406,7 +406,7 @@ class TestGroupReduce:
 
     def test_one_row_map_accepted(self, rng):
         weights = DesignWeights(np.array([0.5]), 1.0, row_group=np.array([0]))
-        assert weights.n_rows == 1
+        assert weights.row_weights().size == 1
         engine = PosteriorEngine(random_lowrank(rng, n=1, n_nodes=3), BayesSetup(alpha=1.0), [0])
         assert engine.n_weights == 1 and engine.group_grams.shape[0] == 1
 
