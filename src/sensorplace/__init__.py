@@ -41,7 +41,7 @@ from .lidar import (
     advdiff_kernel,
     advdiff_solution,
     build_lidar_problem,
-    build_spacetime_F,
+    exact_factor,
     fourier_coefficients_u0,
     reconstruct_u0,
     transformed_initial_coefficients,

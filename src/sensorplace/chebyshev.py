@@ -136,12 +136,13 @@ def nodes_per_axis(total: int, dim: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class LowRankKernel:
-    """Low-rank surrogate F_s = coef_out^T node_values coef_in.
+    """Low-rank factorization F_s = coef_out^T node_values coef_in.
 
-    ``node_values[p, q]`` is the kernel at output node p and input node q
-    times the input cell measure; ``coef_out``/``coef_in`` hold tensor
-    Lagrange coefficients of the output/input mesh points, so
-    F_s[i, j] interpolates f at (x_i, y_j) times dy.
+    In the Chebyshev surrogate ``node_values[p, q]`` is the kernel at
+    output node p and input node q times dy, and ``coef_out``/``coef_in``
+    hold tensor Lagrange coefficients of the mesh points.  Exact
+    factorizations carry other middles: a dense F as I F I, the LIDAR
+    modes as U^T I V^T (``lidar.exact_factor``).
 
     ``coef_out`` is stored as factors.  Without a time axis it is
     ``coef_space`` itself.  On a space-time mesh (n_s locations x n_t

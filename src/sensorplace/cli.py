@@ -151,8 +151,10 @@ def build_runspec(entries: dict, overrides: dict) -> RunSpec:
         spec.sqp_config()
     except ValueError as err:
         raise ConfigError(f"bad solver configuration: {err}") from err
-    if not (0.0 < spec.budget_fraction <= 1.0 and 0.0 < spec.node_constant < np.inf):
-        raise ConfigError("budget_fraction must lie in (0, 1], node_constant be positive and finite")
+    if not (spec.n >= 1 and 0.0 < spec.budget_fraction <= 1.0
+            and 0.0 < spec.node_constant < np.inf):
+        raise ConfigError("n must be >= 1, budget_fraction lie in (0, 1], "
+                          "node_constant be positive and finite")
     if spec.command == "oracle":
         spec.epsilon = ORACLE_EPSILON
     if spec.problem == "lidar":
@@ -215,7 +217,7 @@ def _assemble(spec: RunSpec, size=None, constant=None) -> _Assembled:
             float(prob.budget),
             prob.row_group,
             prob.sector_angles,
-            lambda: prob.dense_f,
+            lambda: prob.exact.dense(),
         )
     n = spec.n if size is None else size
     mesh = build_mesh(RectDomain((-1.0,), (1.0,)), n)

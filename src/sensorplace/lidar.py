@@ -15,9 +15,10 @@ phi_k(z) = sin(k pi z / 2) for even k and cos(k pi z / 2) for odd k
                    phi_k1(x1) phi_k2(x2) phi_k1(y1) phi_k2(y2).
 
 The basis functions have unit L2 norm on [-1, 1], so unnormalized
-projections are the expansion coefficients.  An external source adds an
-independent term to the solution and never enters this kernel, so it has
-no effect on the design.
+projections are the expansion coefficients.  Over the K = p^2 modes the
+exact kernel matrix is the rank-K product U V^T (``exact_factor``).  An
+external source adds an independent term to the solution and never
+enters this kernel, so it has no effect on the design.
 
 The sensing geometry is a LIDAR at the origin of the unit disk: beams
 through sector midlines, measurements along each beam at a fixed set of
@@ -51,7 +52,7 @@ __all__ = [
     "mode_table",
     "dirichlet_basis",
     "advdiff_kernel",
-    "build_spacetime_F",
+    "exact_factor",
     "fourier_coefficients_u0",
     "reconstruct_u0",
     "transformed_initial_coefficients",
@@ -180,33 +181,26 @@ def advdiff_kernel(cfg: LidarConfig) -> Kernel:
     return Kernel(evaluator)
 
 
-def build_spacetime_F(cfg: LidarConfig, disk_mesh: MeshedDomain, input_mesh: MeshedDomain):
-    """Dense space-time kernel matrix, the exact F of a LIDAR problem.
+def exact_factor(cfg: LidarConfig, disk_mesh: MeshedDomain, input_mesh: MeshedDomain):
+    """The exact F of a LIDAR problem as ``LowRankKernel(U^T, I_K, V^T)``.
 
-    Rows are location-major, time-minor over the disk mesh, the rows of
-    ``spacetime_mesh(disk_mesh, cfg.times)``, so each sector owns a
-    contiguous block of n_r * n_t rows sharing one weight (that mesh's
-    ``sector``).  Exploits the separable mode structure: F factors
-    through the p^2 Fourier modes.
+    Over the rows of ``spacetime_mesh(disk_mesh, cfg.times)`` (location-major,
+    time-minor: each sector owns a contiguous block of n_r * n_t rows),
+
+        U[(i, s), k] = exp(a x_i1 + b x_i2 + (g - decay_k) t_s) phi_k(x_i),
+        V[j, k] = exp(-a y_j1 - b y_j2) phi_k(y_j) dy.
     """
     table = mode_table(cfg.p, cfg.mu)
     a, b, g = cfg.drift
-    times = cfg.times
     x = disk_mesh.points
     y = input_mesh.points
-    out_modes = _mode_product(table, x)  # (n_loc, K)
-    in_modes = _mode_product(table, y)  # (n_in, K)
     out_drift = np.exp(a * x[:, 0] + b * x[:, 1])
     in_drift = np.exp(-a * y[:, 0] - b * y[:, 1]) * input_mesh.cell_measure
-    time_factor = np.exp(g * times[:, None] - table.decay[None, :] * times[:, None])
-
-    n_loc, n_t, n_in = x.shape[0], times.size, y.shape[0]
-    f = np.empty((n_loc, n_t, n_in))
-    weighted_in = (in_modes * in_drift[:, None]).T  # (K, n_in)
-    for s in range(n_t):
-        f[:, s, :] = (out_modes * time_factor[s][None, :]) @ weighted_in
-    f *= out_drift[:, None, None]
-    return f.reshape(n_loc * n_t, n_in)
+    time_factor = np.exp((g - table.decay[:, None]) * cfg.times)  # (K, n_t)
+    space = (_mode_product(table, x) * out_drift[:, None]).T  # (K, n_loc)
+    u_t = (space[:, :, None] * time_factor[:, None, :]).reshape(space.shape[0], -1)
+    v_t = (_mode_product(table, y) * in_drift[:, None]).T
+    return LowRankKernel(u_t, np.eye(space.shape[0]), v_t)
 
 
 def fourier_coefficients_u0(u0, p: int) -> np.ndarray:
@@ -300,8 +294,8 @@ class LidarProblem:
         return self.disk_mesh.angle[:: self.config.n_r]
 
     @cached_property
-    def dense_f(self) -> np.ndarray:
-        return build_spacetime_F(self.config, self.disk_mesh, self.input_mesh)
+    def exact(self) -> LowRankKernel:
+        return exact_factor(self.config, self.disk_mesh, self.input_mesh)
 
 
 def build_lidar_problem(

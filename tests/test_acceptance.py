@@ -346,8 +346,8 @@ def test_criterion_8_lidar_physics():
     cfg = LidarConfig()
     disk = sp.build_disk_mesh(sp.DiskSensorDomain(cfg.n_d, cfg.n_r))
     grid = build_mesh(sp.RectDomain((-1.0, -1.0), (1.0, 1.0)), (cfg.n_x, cfg.n_x))
-    f1 = sp.build_spacetime_F(cfg, disk, grid)
-    f2 = sp.build_spacetime_F(cfg, disk, grid)
+    f1 = sp.exact_factor(cfg, disk, grid).dense()
+    f2 = sp.exact_factor(cfg, disk, grid).dense()
     source_free = np.array_equal(f1, f2)
 
     prob = build_lidar_problem(cfg, node_constant=8.0)
@@ -405,7 +405,7 @@ def test_criterion_10_integrality_gap_trend():
         )
         w_int = sum_up_round(res.weights, sp.angular_plan(prob.sector_angles))
         gap = integrality_gap(
-            prob.lowrank, prob.setup, res.weights, w_int, dense_f=prob.dense_f
+            prob.lowrank, prob.setup, res.weights, w_int, dense_f=prob.exact.dense()
         )
         gaps_dense[nd] = gap.dense
 

@@ -104,7 +104,7 @@ class TestDesignCommand:
             raise AssertionError("dense F built although its rows exceed the guard")
 
         # TINY_LIDAR's F is 64 x 36: its columns pass a guard of 40, its rows do not.
-        monkeypatch.setattr(lidar_module, "build_spacetime_F", no_dense_f)
+        monkeypatch.setattr(lidar_module, "exact_factor", no_dense_f)
         monkeypatch.setattr(cli_module, "DENSE_MAX_N", 40)
         cfg = write_config(tmp_path, TINY_LIDAR)
         out = tmp_path / "guard"
@@ -371,6 +371,14 @@ class TestExitCodes:
         cfg = write_config(tmp_path, TINY_LIDAR + line + "\n")
         out = tmp_path / "n"
         assert main(["--command", "design", "--config", cfg, "--out", str(out)]) == 2
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("command", ["design", "oracle", "gap-sweep"])
+    @pytest.mark.parametrize("line", ["n = 0", "n = -3"])
+    def test_analytic_size_below_one_is_2(self, tmp_path, command, line):
+        cfg = write_config(tmp_path, TINY_ANALYTIC + line + "\n")
+        out = tmp_path / "small"
+        assert main(["--command", command, "--config", cfg, "--out", str(out)]) == 2
         assert not (out / "summary.json").exists()
 
     # nan passes a plain `x <= 0` rejection test

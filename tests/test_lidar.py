@@ -11,8 +11,8 @@ from sensorplace import (
     build_disk_mesh,
     build_lidar_problem,
     build_mesh,
-    build_spacetime_F,
     dense_kernel_matrix,
+    exact_factor,
     fourier_coefficients_u0,
     reconstruct_u0,
     spacetime_mesh,
@@ -118,7 +118,7 @@ class TestSpacetimeF:
         cfg = LidarConfig(n_t=1, horizon=0.7, n_d=4, n_r=2, n_x=3)
         disk = build_disk_mesh(DiskSensorDomain(4, 2))
         grid = build_mesh(RectDomain((-1.0, -1.0), (1.0, 1.0)), (3, 3))
-        f = build_spacetime_F(cfg, disk, grid)
+        f = exact_factor(cfg, disk, grid).dense()
         spatial = dense_kernel_matrix(advdiff_kernel(cfg), spacetime_mesh(disk, [0.7]), grid)
         assert_allclose(f, spatial, rtol=1e-12, atol=1e-15)
         assert f.shape[0] == 8
@@ -127,7 +127,7 @@ class TestSpacetimeF:
         cfg = LidarConfig(n_d=2, n_r=1, n_t=2, n_x=2)
         disk = build_disk_mesh(DiskSensorDomain(2, 1))
         grid = build_mesh(RectDomain((-1.0, -1.0), (1.0, 1.0)), (2, 2))
-        f = build_spacetime_F(cfg, disk, grid)
+        f = exact_factor(cfg, disk, grid).dense()
         assert f.shape == (4, 4)
         assert_allclose(spacetime_mesh(disk, cfg.times).sector, [0, 0, 1, 1])
         kern = advdiff_kernel(cfg)
@@ -141,7 +141,7 @@ class TestSpacetimeF:
         cfg = LidarConfig(n_d=5, n_r=3, n_t=2, n_x=4)
         disk = build_disk_mesh(DiskSensorDomain(5, 3))
         grid = build_mesh(RectDomain((-1.0, -1.0), (1.0, 1.0)), (4, 4))
-        fast = build_spacetime_F(cfg, disk, grid)
+        fast = exact_factor(cfg, disk, grid).dense()
         generic = dense_kernel_matrix(advdiff_kernel(cfg), spacetime_mesh(disk, cfg.times), grid)
         assert_allclose(fast, generic, rtol=1e-12, atol=1e-16)
 
@@ -149,8 +149,8 @@ class TestSpacetimeF:
         cfg = LidarConfig(n_d=6, n_r=2, n_t=3, n_x=4)
         disk = build_disk_mesh(DiskSensorDomain(6, 2))
         grid = build_mesh(RectDomain((-1.0, -1.0), (1.0, 1.0)), (4, 4))
-        f1 = build_spacetime_F(cfg, disk, grid)
-        f2 = build_spacetime_F(cfg, disk, grid)
+        f1 = exact_factor(cfg, disk, grid).dense()
+        f2 = exact_factor(cfg, disk, grid).dense()
         assert np.array_equal(f1, f2)
         # the source changes the observable field but never enters F
         coeffs = transformed_initial_coefficients(cfg, sin_sin)
@@ -165,7 +165,7 @@ class TestSpacetimeF:
         cfg = LidarConfig(n_d=4, n_r=2, n_t=5, n_x=3)
         disk = build_disk_mesh(DiskSensorDomain(4, 2))
         grid = build_mesh(RectDomain((-1.0, -1.0), (1.0, 1.0)), (3, 3))
-        f = build_spacetime_F(cfg, disk, grid)
+        f = exact_factor(cfg, disk, grid).dense()
         row_group = spacetime_mesh(disk, cfg.times).sector
         setup = BayesSetup(alpha=0.1)
         w = rng.uniform(0.2, 0.9, 4)
@@ -177,6 +177,58 @@ class TestSpacetimeF:
         )
         expected = np.array([grad_rows[row_group == k].sum() for k in range(4)])
         assert_allclose(grad, expected, rtol=1e-12)
+
+
+class TestExactFactor:
+    def test_factor_shapes(self):
+        cfg = LidarConfig(n_d=5, n_r=3, n_t=2, n_x=4, p=2)
+        disk = build_disk_mesh(DiskSensorDomain(5, 3))
+        grid = build_mesh(RectDomain((-1.0, -1.0), (1.0, 1.0)), (4, 4))
+        factor = exact_factor(cfg, disk, grid)
+        np.testing.assert_array_equal(factor.node_values, np.eye(4))
+        assert factor.coef_space.shape == (4, 5 * 3 * 2)
+        assert factor.coef_in.shape == (4, 16)
+        assert factor.coef_time is None
+
+    @pytest.mark.parametrize("criterion, changes", [
+        ("A", {}),
+        ("D", {"c1": 0.5, "c2": -0.3, "alpha": 0.05}),
+    ])
+    def test_engine_input_matches_identity_route(self, criterion, changes):
+        # the factor runs through the grouped engine as it is; its dense()
+        # runs as the exact factorization I F I
+        from sensorplace import SqpConfig, solve_relaxed
+
+        cfg = LidarConfig(n_d=8, n_r=4, n_x=6, n_t=3, **changes)
+        prob = build_lidar_problem(cfg, node_constant=4.0, criterion=criterion)
+        np.testing.assert_array_equal(prob.exact.node_values, np.eye(cfg.p**2))
+        config = SqpConfig(epsilon=1e-8)
+        budget = float(prob.budget)
+        factor = solve_relaxed(prob.exact, prob.setup, budget, config, row_group=prob.row_group)
+        dense = solve_relaxed(prob.exact.dense(), prob.setup, budget, config,
+                              row_group=prob.row_group)
+        assert factor.status == dense.status
+        assert factor.iterations == dense.iterations
+        assert_allclose(factor.weights.w, dense.weights.w, rtol=0, atol=1e-10)
+        assert_allclose(factor.objective_trace[-1], dense.objective_trace[-1], rtol=1e-12)
+
+    def test_exact_check_beyond_dense_limit(self):
+        # the default design's F (4,500 x 900) exceeds the CLI's dense limit;
+        # on the factor the surrogate design still gets an exact score
+        from sensorplace import SqpConfig, initial_point, shared_engine, solve_relaxed
+        from sensorplace.cli import DENSE_MAX_N
+
+        prob = build_lidar_problem(LidarConfig(), node_constant=8.0)
+        assert prob.exact.n_rows > DENSE_MAX_N
+        budget = float(prob.budget)
+        cheb = solve_relaxed(prob.lowrank, prob.setup, budget, row_group=prob.row_group)
+        exact = solve_relaxed(prob.exact, prob.setup, budget,
+                              SqpConfig(epsilon=1e-9, max_outer=300), row_group=prob.row_group)
+        phi = shared_engine(prob.exact, prob.setup, prob.row_group).value
+        start = initial_point(cheb.weights.n_weights, budget).w
+        best = phi(exact.weights.w)
+        loss = (phi(cheb.weights.w) - best) / (phi(start) - best)
+        assert loss <= 1e-3
 
 
 class TestFourierCoefficients:
@@ -257,7 +309,9 @@ class TestBuildLidarProblem:
         assert prob.row_group.size == prob.lowrank.n_rows
         assert prob.sector_angles.size == 8
         assert prob.setup.alpha == cfg.alpha
-        assert prob.dense_f.shape == (96, 36)
+        # the exact factor is built on first access, never by the assembly
+        assert "exact" not in vars(prob)
+        assert prob.exact.dense().shape == (96, 36)
         # the row map is the dense F's location-major, time-minor layout, and
         # the angles are the beam midlines 2 pi (k + 1/2) / n_d, to the bit
         np.testing.assert_array_equal(prob.row_group, np.repeat(np.arange(8), 4 * 3))
@@ -288,9 +342,10 @@ class TestBuildLidarProblem:
             prob.lowrank, prob.setup, float(prob.budget),
             SqpConfig(epsilon=1e-3), row_group=prob.row_group,
         )
+        f = prob.exact.dense()
         oracle = solve_relaxed(
-            prob.dense_f, prob.setup, float(prob.budget),
+            f, prob.setup, float(prob.budget),
             SqpConfig(epsilon=1e-8), row_group=prob.row_group,
         )
-        surro_dense_value = dense_objective_value(prob.dense_f, surro.weights, prob.setup)
+        surro_dense_value = dense_objective_value(f, surro.weights, prob.setup)
         assert oracle.objective_trace[-1] <= surro_dense_value + 1e-3
