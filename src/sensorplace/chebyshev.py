@@ -7,16 +7,14 @@ basis values of every mesh point.  Nodes per axis scale like O(log n), so
 F_s has rank O(log n) and storage O(n log n).
 
 Every axis is one ``Grid1D``: its nodes in the axis's own coordinates.
-Chebyshev axes map the Chebyshev points onto the axis interval; a
-single-time axis takes the measurement time itself as its node.  The
-Lagrange basis of any grid comes from the barycentric formula, at O(N)
-per point, and is the exact unit vector at a node.  Space-time output
-meshes with several times treat time as one more Chebyshev axis.  Their
-rows are location-major, so the output coefficients are the Kronecker
-product C_space kron C_time of a spatial factor (N_s x n_s, one column
-per location) and a time factor (N_t x n_t, the time grid's basis at the
-measurement times; [[1]] for a single time).  The surrogate keeps only
-the factors and forms the N_out x n_s n_t product on first use.
+Chebyshev axes map the Chebyshev points onto the axis interval.  Time is
+sampled, not interpolated: a space-time output mesh takes its measurement
+times themselves as the time axis's nodes.  The Lagrange basis of any
+grid comes from the barycentric formula, at O(N) per point, and is the
+exact unit vector at a node.  Space-time rows are location-major, so the
+output coefficients are C_space kron I_{n_t}, with C_space (N_s x n_s)
+holding one column per location.  The surrogate keeps only C_space and
+forms the N_s n_t x n_s n_t product on first use.
 """
 
 from __future__ import annotations
@@ -45,7 +43,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Distinct interpolation nodes of one axis, in the axis's coordinates."""
+    """Distinct nodes of one axis, in the axis's coordinates: Chebyshev
+    points for an interpolated axis, the measurement times for time."""
 
     nodes: np.ndarray
 
@@ -144,24 +143,35 @@ class LowRankKernel:
     factorizations carry other middles: a dense F as I F I, the LIDAR
     modes as U^T I V^T (``lidar.exact_factor``).
 
-    ``coef_out`` is stored as factors.  Without a time axis it is
-    ``coef_space`` itself.  On a space-time mesh (n_s locations x n_t
-    times, location-major) it is coef_space (N_s x n_s) kron ``coef_time``
-    (N_t x n_t), the time grid's Lagrange basis at the measurement times;
-    ``mul_coef_out`` applies it from the factors, and ``coef_out`` forms
-    the N_out x n_s n_t matrix only on first access (ungrouped engines,
-    ``dense`` and oracles).
+    ``coef_out`` is kept as ``coef_space`` (N_s x n_s).  On a space-time
+    mesh (n_s locations x n_t times, location-major) time is sampled at
+    the measurement times, so node_values has N_s n_t rows (spatial node
+    major, time minor) and coef_out is coef_space kron I_{n_t}; n_t is the
+    ratio of the two row counts, 1 without a time axis.
+    ``mul_coef_out`` applies coef_out from coef_space, and ``coef_out``
+    forms the N_s n_t x n_s n_t matrix only on first access (ungrouped
+    engines, ``dense`` and oracles).
     """
 
     coef_space: np.ndarray
     node_values: np.ndarray
     coef_in: np.ndarray
-    coef_time: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.node_values.shape[0] % self.coef_space.shape[0]:
+            raise ValueError(
+                f"node_values has {self.node_values.shape[0]} rows, not a multiple of "
+                f"coef_space's {self.coef_space.shape[0]}"
+            )
+
+    @property
+    def n_times(self) -> int:
+        """Measurement times per location: 1 without a time axis."""
+        return self.node_values.shape[0] // self.coef_space.shape[0]
 
     @property
     def n_rows(self) -> int:
-        n_t = 1 if self.coef_time is None else self.coef_time.shape[1]
-        return self.coef_space.shape[1] * n_t
+        return self.coef_space.shape[1] * self.n_times
 
     @property
     def n_cols(self) -> int:
@@ -170,25 +180,18 @@ class LowRankKernel:
     @cached_property
     def coef_out(self) -> np.ndarray:
         """Output coefficients, one column per output mesh row (read-only)."""
-        if self.coef_time is None:
-            return self.coef_space
-        # one product per entry, as coefficient_matrix forms it
-        return np.kron(self.coef_space, self.coef_time)
+        n_t = self.n_times
+        return self.coef_space if n_t == 1 else np.kron(self.coef_space, np.eye(n_t))
 
     def mul_coef_out(self, m: np.ndarray) -> np.ndarray:
         """m @ coef_out for m of N_out columns, without forming coef_out.
 
-        m is viewed as (k, N_s, N_t) and multiplied by coef_time over the
-        time nodes, then coef_space^T is applied to each of the k
-        (N_s, n_t) slices, which writes the location-major, time-minor
+        m is viewed as (k, N_s, n_t), and coef_space^T applied to each of
+        its k (N_s, n_t) slices writes the location-major, time-minor
         (k, n_s, n_t) product directly.
         """
-        if self.coef_time is None:
-            return m @ self.coef_space
         k = m.shape[0]
-        (n_space, _), (n_node_t, n_t) = self.coef_space.shape, self.coef_time.shape
-        mt = (m.reshape(k * n_space, n_node_t) @ self.coef_time).reshape(k, n_space, n_t)
-        return np.matmul(self.coef_space.T, mt).reshape(k, -1)
+        return np.matmul(self.coef_space.T, m.reshape(k, -1, self.n_times)).reshape(k, -1)
 
     @cached_property
     def input_r(self) -> np.ndarray:
@@ -227,30 +230,26 @@ def build_lowrank(
     """Build the Chebyshev surrogate of the kernel matrix.
 
     Each domain of dimension d gets max(2, ceil(budget**(1/d))) Chebyshev
-    nodes per axis on its interpolation box.  For a space-time output mesh
-    with several times, time counts as one axis of the output domain and
-    is interpolated like the spatial ones; a single-time mesh keeps that
-    time as its one node.  Either way the output coefficients are kept as
-    space and time factors (``LowRankKernel.coef_time``), which requires
-    the location-major, time-minor rows of ``spacetime_mesh``.  A disk
-    output mesh is interpolated on its bounding square.  One mesh without
-    times on both sides shares one coefficient matrix.
+    nodes per axis on its interpolation box.  A space-time output mesh
+    samples time at its measurement times (``Grid1D(times)``) instead of
+    interpolating it, so the output coefficients are coef_space kron
+    I_{n_t} and only coef_space is kept; this requires the location-major,
+    time-minor rows of ``spacetime_mesh``.  With several times the output
+    budget is still split as if time were one more axis, which keeps the
+    spatial node count of an interpolated time axis.  A disk output mesh
+    is interpolated on its bounding square.  One mesh without times on
+    both sides shares one coefficient matrix.
     """
     times = out_mesh.times
     has_time = times is not None
     spatial = out_mesh.dim - (1 if has_time else 0)
-    # several times make time one more Chebyshev axis; one time is its own node
-    cheb_time = has_time and times.size > 1
-    out_each = nodes_per_axis(budget, spatial + cheb_time)
-    grids_out = [chebyshev_nodes(out_each, lo, hi) for lo, hi in out_mesh.bounds[:spatial]]
+    out_each = nodes_per_axis(budget, spatial + (has_time and times.size > 1))
+    grids_out = [chebyshev_nodes(out_each, lo, hi) for lo, hi in out_mesh.bounds]
     if has_time:
         coef_space = coefficient_matrix(grids_out, _space_points(out_mesh))
-        t_lo, t_hi = out_mesh.bounds[spatial]
-        grids_out.append(chebyshev_nodes(out_each, t_lo, t_hi) if cheb_time else Grid1D(times))
-        coef_time = lagrange_coefficients(grids_out[-1], times)
+        grids_out.append(Grid1D(times))
     else:
         coef_space = coefficient_matrix(grids_out, out_mesh.points)
-        coef_time = None
     if in_mesh is out_mesh and not has_time:
         grids_in, coef_in = grids_out, coef_space
     else:
@@ -266,7 +265,7 @@ def build_lowrank(
     else:
         values = kernel(xt[:, None, :], yb)
     values = values * in_mesh.cell_measure
-    return LowRankKernel(coef_space, values, coef_in, coef_time)
+    return LowRankKernel(coef_space, values, coef_in)
 
 
 def _space_points(mesh: MeshedDomain) -> np.ndarray:

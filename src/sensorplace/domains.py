@@ -81,10 +81,11 @@ class DiskSensorDomain:
 class MeshedDomain:
     """Discretized domain: ordered points plus the quadrature cell measure.
 
-    ``bounds`` is the axis-aligned box used for interpolation (for a disk
-    this is the bounding square).  Disk meshes carry per-point ``sector``
-    and ``angle`` arrays; space-time product meshes carry the measurement
-    ``times`` and append time as the last point coordinate.
+    ``bounds`` is the axis-aligned box of the spatial axes used for
+    interpolation (for a disk this is the bounding square).  Disk meshes
+    carry per-point ``sector`` and ``angle`` arrays; space-time product
+    meshes carry the per-row ``sector`` and the measurement ``times``, and
+    append time as the last point coordinate.
     """
 
     points: np.ndarray
@@ -166,7 +167,8 @@ def spacetime_mesh(spatial: MeshedDomain, times) -> MeshedDomain:
 
     Rows are location-major, time-minor: row (i - 1) * n_t + (j - 1) holds
     spatial point i at time t_j (0-based).  Time is appended as the last
-    coordinate and the interpolation box is extended accordingly.
+    coordinate; ``bounds`` stays the spatial box, since time is sampled at
+    the measurement times rather than interpolated.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.size < 1:
@@ -175,18 +177,8 @@ def spacetime_mesh(spatial: MeshedDomain, times) -> MeshedDomain:
     pts = np.empty((n * n_t, spatial.dim + 1))
     pts[:, : spatial.dim] = np.repeat(spatial.points, n_t, axis=0)
     pts[:, spatial.dim] = np.tile(times, n)
-    t_lo, t_hi = float(times.min()), float(times.max())
-    bounds = np.vstack([spatial.bounds, [t_lo, t_hi]])
     sector = None if spatial.sector is None else np.repeat(spatial.sector, n_t)
-    angle = None if spatial.angle is None else np.repeat(spatial.angle, n_t)
-    return MeshedDomain(
-        pts,
-        spatial.cell_measure,
-        bounds,
-        sector=sector,
-        angle=angle,
-        times=times,
-    )
+    return MeshedDomain(pts, spatial.cell_measure, spatial.bounds, sector=sector, times=times)
 
 
 def dense_kernel_matrix(

@@ -304,9 +304,10 @@ def build_lidar_problem(
     """Meshes, kernel, and Chebyshev surrogate for one LIDAR configuration.
 
     The interpolation budget is ceil(node_constant * log(n)) with n the
-    input-grid size n_x^2; the output box (bounding square of the disk
-    plus the measurement window in time) and the input square each get
-    max(2, ceil(budget**(1/d))) Chebyshev nodes per axis.
+    input-grid size n_x^2.  The disk's bounding square and the input
+    square each get max(2, ceil(budget**(1/d))) Chebyshev nodes per axis,
+    with d = 3 on the output side when there are several times; time is
+    sampled at the n_t measurement times (``build_lowrank``).
     """
     disk = build_disk_mesh(DiskSensorDomain(cfg.n_d, cfg.n_r))
     square = RectDomain((-1.0, -1.0), (1.0, 1.0))

@@ -169,7 +169,7 @@ class PosteriorEngine:
 
     where a truncated eigenvalue counts as 0.  With row groups, the
     rho x rho group Grams R~ G_k R~^T are precomputed from R~ coef_out,
-    applied from the surrogate's space and time factors
+    applied from the surrogate's spatial coefficients
     (``LowRankKernel.mul_coef_out``) so coef_out itself is never formed,
     K is their weighted sum, and the gradient and a rank-k factor of the
     exact Hessian, cut at ``HESSIAN_CUT``, come from V^T (R~ G_k R~^T) V,

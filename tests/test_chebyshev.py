@@ -235,7 +235,7 @@ def _disk_spacetime(n_t):
 
 
 class TestSpaceTimeFactors:
-    """coef_out = coef_space kron coef_time on a location-major space-time mesh."""
+    """coef_out = coef_space kron I_{n_t} on a location-major space-time mesh."""
 
     @pytest.mark.parametrize("n_t", [1, 5])
     def test_coef_out_equals_full_coefficient_matrix(self, n_t):
@@ -243,21 +243,36 @@ class TestSpaceTimeFactors:
         grid = build_mesh(RectDomain((-1.0, -1.0), (1.0, 1.0)), 4)
         budget = 30
         lowrank = build_lowrank(advdiff_kernel(LidarConfig(n_t=n_t)), stm, grid, budget)
-        # the grids of the dense route: several times are one more
-        # Chebyshev axis, a single time is its own node
-        if n_t == 1:
-            each = nodes_per_axis(budget, 2)
-            grids = [chebyshev_nodes(each, lo, hi) for lo, hi in stm.bounds[:2]]
-            grids.append(Grid1D(stm.times))
-        else:
-            each = nodes_per_axis(budget, 3)
-            grids = [chebyshev_nodes(each, lo, hi) for lo, hi in stm.bounds]
+        # the grids of the dense route: the spatial Chebyshev grids, with
+        # the budget split as if several times were one more axis, and the
+        # measurement times themselves as the time axis's nodes
+        each = nodes_per_axis(budget, 2 + (n_t > 1))
+        grids = [chebyshev_nodes(each, lo, hi) for lo, hi in stm.bounds]
+        grids.append(Grid1D(stm.times))
         assert "coef_out" not in vars(lowrank)
         assert lowrank.n_rows == stm.n_points
-        assert lowrank.coef_time.shape == (grids[-1].nodes.size, n_t)
+        assert lowrank.node_values.shape[0] == each**2 * n_t
         assert np.array_equal(lowrank.coef_out, coefficient_matrix(grids, stm.points))
         with pytest.raises(AttributeError):
             lowrank.coef_out = lowrank.coef_space
+
+    @pytest.mark.parametrize("n_t", [1, 2, 5, 7])
+    def test_exact_in_time(self, n_t):
+        # a kernel that is constant in x and linear in y is reproduced by
+        # the spatial grids; exp(-40 t) is reproduced only by sampling time
+        # at the measurement times, not by interpolating it between them
+        _, stm = _disk_spacetime(n_t)
+        grid = build_mesh(RectDomain((-1.0, -1.0), (1.0, 1.0)), 4)
+        kern = Kernel(lambda x, y, t: np.exp(-40.0 * t) * (1.0 + y[..., 0]))
+        want = dense_kernel_matrix(kern, stm, grid)
+        got = build_lowrank(kern, stm, grid, 30).dense()
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_row_count_must_be_a_multiple(self):
+        # n_t is node_values' rows over coef_space's; a remainder is no n_t
+        with pytest.raises(ValueError, match="multiple"):
+            chebyshev.LowRankKernel(np.ones((4, 6)), np.ones((6, 3)), np.ones((3, 5)))
+        assert chebyshev.LowRankKernel(np.ones((2, 6)), np.ones((6, 3)), np.ones((3, 5))).n_rows == 18
 
     def test_factor_product_matches_coef_out(self, rng):
         _, stm = _disk_spacetime(5)

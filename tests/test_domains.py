@@ -82,6 +82,15 @@ class TestDiskMesh:
         with pytest.raises(ValueError):
             DiskSensorDomain(0, 3)
 
+    def test_spacetime_mesh_keeps_spatial_box(self):
+        # time is sampled, not interpolated, so the box stays spatial; the
+        # sector repeats per row and nothing reads a per-row angle
+        disk = build_disk_mesh(DiskSensorDomain(4, 2))
+        st = spacetime_mesh(disk, [0.5, 1.0, 2.0])
+        assert st.angle is None
+        assert np.array_equal(st.bounds, disk.bounds)
+        assert np.array_equal(st.sector, np.repeat(disk.sector, 3))
+
 
 class TestDenseKernelMatrix:
     def test_constant_kernel(self):

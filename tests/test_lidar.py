@@ -188,7 +188,7 @@ class TestExactFactor:
         np.testing.assert_array_equal(factor.node_values, np.eye(4))
         assert factor.coef_space.shape == (4, 5 * 3 * 2)
         assert factor.coef_in.shape == (4, 16)
-        assert factor.coef_time is None
+        assert factor.n_times == 1
 
     @pytest.mark.parametrize("criterion, changes", [
         ("A", {}),
@@ -318,8 +318,8 @@ class TestBuildLidarProblem:
         np.testing.assert_array_equal(prob.sector_angles, 2.0 * np.pi * (np.arange(8) + 0.5) / 8)
 
     def test_design_path_never_forms_coef_out(self):
-        # grouped designs read the output coefficients only through the
-        # space and time factors; the N_out x n_rows matrix stays unformed
+        # grouped designs read the output coefficients only through
+        # coef_space; the N_out x n_rows matrix stays unformed
         from sensorplace import SqpConfig, angular_plan, integrality_gap, solve_relaxed, sum_up_round
 
         prob = build_lidar_problem(LidarConfig(n_d=12, n_r=6, n_x=8, n_t=3), node_constant=8.0)
