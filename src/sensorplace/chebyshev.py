@@ -6,15 +6,15 @@ interpolation-node pairs and the coefficient matrices hold the Lagrange
 basis values of every mesh point.  Nodes per axis scale like O(log n), so
 F_s has rank O(log n) and storage O(n log n).
 
-Every axis is one ``Grid1D``: its nodes in the axis's own coordinates.
-Chebyshev axes map the Chebyshev points onto the axis interval.  Time is
-sampled, not interpolated: a space-time output mesh takes its measurement
-times themselves as the time axis's nodes.  The Lagrange basis of any
-grid comes from the barycentric formula, at O(N) per point, and is the
-exact unit vector at a node.  Space-time rows are location-major, so the
-output coefficients are C_space kron I_{n_t}, with C_space (N_s x n_s)
-holding one column per location.  The surrogate keeps only C_space and
-forms the N_s n_t x n_s n_t product on first use.
+Every interpolated axis is one ``Grid1D``: the Chebyshev points mapped
+onto the axis interval.  The Lagrange basis of a grid comes from the
+barycentric formula, at O(N) per point, and is the exact unit vector at a
+node.  Time is sampled, not interpolated: ``build_lowrank`` takes the
+spatial output mesh and the measurement times, and evaluates the kernel
+at every (spatial node, time) pair.  The output rows are location-major,
+time-minor, so the output coefficients are C_space kron I_{n_t}, with
+C_space (N_s x n_s) holding one column per location.  The surrogate keeps
+only C_space and forms the N_s n_t x n_s n_t product on first use.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Distinct nodes of one axis, in the axis's coordinates: Chebyshev
-    points for an interpolated axis, the measurement times for time."""
+    """Distinct nodes of one axis, in the axis's coordinates; the library
+    builds Chebyshev axes only (``chebyshev_nodes``)."""
 
     nodes: np.ndarray
 
@@ -143,11 +143,12 @@ class LowRankKernel:
     factorizations carry other middles: a dense F as I F I, the LIDAR
     modes as U^T I V^T (``lidar.exact_factor``).
 
-    ``coef_out`` is kept as ``coef_space`` (N_s x n_s).  On a space-time
-    mesh (n_s locations x n_t times, location-major) time is sampled at
-    the measurement times, so node_values has N_s n_t rows (spatial node
-    major, time minor) and coef_out is coef_space kron I_{n_t}; n_t is the
-    ratio of the two row counts, 1 without a time axis.
+    ``coef_out`` is kept as ``coef_space`` (N_s x n_s).  With n_t
+    measurement times the output rows are n_s locations x n_t times,
+    location-major, and time is sampled at those times, so node_values has
+    N_s n_t rows (spatial node major, time minor) and coef_out is
+    coef_space kron I_{n_t}; n_t is the ratio of the two row counts, 1
+    without times.
     ``mul_coef_out`` applies coef_out from coef_space, and ``coef_out``
     forms the N_s n_t x n_s n_t matrix only on first access (ungrouped
     engines, ``dense`` and oracles).
@@ -225,60 +226,43 @@ def _node_tuples(grids):
 
 
 def build_lowrank(
-    kernel: Kernel, out_mesh: MeshedDomain, in_mesh: MeshedDomain, budget: int
+    kernel: Kernel, out_mesh: MeshedDomain, in_mesh: MeshedDomain, budget: int, times=None
 ) -> LowRankKernel:
     """Build the Chebyshev surrogate of the kernel matrix.
 
     Each domain of dimension d gets max(2, ceil(budget**(1/d))) Chebyshev
-    nodes per axis on its interpolation box.  A space-time output mesh
-    samples time at its measurement times (``Grid1D(times)``) instead of
-    interpolating it, so the output coefficients are coef_space kron
-    I_{n_t} and only coef_space is kept; this requires the location-major,
-    time-minor rows of ``spacetime_mesh``.  With several times the output
-    budget is still split as if time were one more axis, which keeps the
-    spatial node count of an interpolated time axis.  A disk output mesh
-    is interpolated on its bounding square.  One mesh without times on
-    both sides shares one coefficient matrix.
+    nodes per axis on its interpolation box.  With measurement ``times``
+    the output rows are every location of ``out_mesh`` at every time,
+    location-major and time-minor, and time is sampled at those times, not
+    interpolated: node_values holds the kernel at every (spatial node,
+    time) pair and only coef_space is kept.  With several times the output
+    budget is still split as if time were one more axis.  A disk output
+    mesh is interpolated on its bounding square.  One mesh without times
+    on both sides shares one coefficient matrix.
     """
-    times = out_mesh.times
-    has_time = times is not None
-    spatial = out_mesh.dim - (1 if has_time else 0)
-    out_each = nodes_per_axis(budget, spatial + (has_time and times.size > 1))
+    if times is not None:
+        times = np.atleast_1d(np.asarray(times, dtype=float))[:, None]
+        if times.size < 1:
+            raise ValueError("need at least one measurement time")
+    n_t = 1 if times is None else times.size
+    out_each = nodes_per_axis(budget, out_mesh.dim + (n_t > 1))
     grids_out = [chebyshev_nodes(out_each, lo, hi) for lo, hi in out_mesh.bounds]
-    if has_time:
-        coef_space = coefficient_matrix(grids_out, _space_points(out_mesh))
-        grids_out.append(Grid1D(times))
-    else:
-        coef_space = coefficient_matrix(grids_out, out_mesh.points)
-    if in_mesh is out_mesh and not has_time:
+    coef_space = coefficient_matrix(grids_out, out_mesh.points)
+    if in_mesh is out_mesh and times is None:
         grids_in, coef_in = grids_out, coef_space
     else:
         in_each = nodes_per_axis(budget, in_mesh.dim)
         grids_in = [chebyshev_nodes(in_each, lo, hi) for lo, hi in in_mesh.bounds]
         coef_in = coefficient_matrix(grids_in, in_mesh.points)
 
+    # the kernel at every (spatial node, time, input node), spread where it
+    # is constant along one; rows spatial-node-major, time-minor
     xt = _node_tuples(grids_out)
     yt = _node_tuples(grids_in)
-    yb = yt[None, :, :]
-    if has_time:
-        values = kernel(xt[:, None, :spatial], yb, xt[:, None, spatial])
-    else:
-        values = kernel(xt[:, None, :], yb)
-    values = values * in_mesh.cell_measure
+    values = kernel(xt[:, None, None, :], yt[None, None, :, :], times)
+    shape = (xt.shape[0], n_t, yt.shape[0])
+    values = np.broadcast_to(values, shape).reshape(-1, shape[2]) * in_mesh.cell_measure
     return LowRankKernel(coef_space, values, coef_in)
-
-
-def _space_points(mesh: MeshedDomain) -> np.ndarray:
-    """The n_s locations of a space-time mesh; ValueError unless its rows
-    are location-major, time-minor (row i * n_t + j is location i at
-    time j), the layout ``spacetime_mesh`` builds."""
-    n_t = mesh.times.size
-    if mesh.n_points % n_t == 0:
-        rows = mesh.points.reshape(-1, n_t, mesh.dim)
-        space = rows[:, 0, :-1]
-        if np.all(rows[:, :, -1] == mesh.times) and np.all(rows[:, :, :-1] == space[:, None]):
-            return space
-    raise ValueError("space-time mesh rows must be location-major, time-minor")
 
 
 def lebesgue_constant(grid: Grid1D, sample_count: int = 5001) -> float:

@@ -55,8 +55,8 @@ ANALYTIC_KERNELS = {
 }
 
 
-# The ``oracle`` command's SQP stopping threshold, in place of the config's
-# ``epsilon``, and the largest dense F (rows or columns): the oracle
+# The ``oracle`` command's fixed SQP stopping threshold (a config's epsilon
+# must equal it), and the largest dense F (rows or columns): the oracle
 # refuses larger problems, design and gap-sweep leave their dense figures out.
 ORACLE_EPSILON = 1e-8
 ORACLE_MAX_N = 2000
@@ -156,6 +156,9 @@ def build_runspec(entries: dict, overrides: dict) -> RunSpec:
         raise ConfigError("n must be >= 1, budget_fraction lie in (0, 1], "
                           "node_constant be positive and finite")
     if spec.command == "oracle":
+        if "epsilon" in merged and spec.epsilon != ORACLE_EPSILON:
+            raise ConfigError(f"the oracle stops at its fixed epsilon = {ORACLE_EPSILON}, "
+                              f"got epsilon = {spec.epsilon}")
         spec.epsilon = ORACLE_EPSILON
     if spec.problem == "lidar":
         # a lidar problem is sized by n_d, n_r, n_x and budgeted by r

@@ -3,7 +3,7 @@
 Meshes use cell-midpoint points with a row-major linearization: the flat
 index of the grid point (i_0, i_1, ...) is ``i_0 * n_1 * n_2 * ... + i_1 * n_2
 * ... + ...`` (0-based), the same convention used for tensor interpolation
-nodes.  Space-time meshes order rows location-major, time-minor.
+nodes.  Space-time meshes, the reference layout, are location-major, time-minor.
 """
 
 from __future__ import annotations
@@ -165,10 +165,11 @@ def build_disk_mesh(cfg: DiskSensorDomain) -> MeshedDomain:
 def spacetime_mesh(spatial: MeshedDomain, times) -> MeshedDomain:
     """Product of a spatial mesh with measurement times.
 
-    Rows are location-major, time-minor: row (i - 1) * n_t + (j - 1) holds
-    spatial point i at time t_j (0-based).  Time is appended as the last
-    coordinate; ``bounds`` stays the spatial box, since time is sampled at
-    the measurement times rather than interpolated.
+    Rows are location-major, time-minor: row i * n_t + j holds spatial
+    point i at time t_j (both 0-based).  Time is appended as the last
+    coordinate; ``bounds`` stays the spatial box.  Surrogates take the
+    spatial mesh and the times instead (``build_lowrank``); this is the
+    reference layout that ``dense_kernel_matrix``, tests and benchmark read.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.size < 1:

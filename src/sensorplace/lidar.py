@@ -42,7 +42,7 @@ from .domains import (
     RectDomain,
     build_disk_mesh,
     build_mesh,
-    spacetime_mesh,
+    spacetime_mesh,  # not called here: perfbench/spans.py patches the name in lidar
 )
 from .objective import BayesSetup
 
@@ -307,14 +307,15 @@ def build_lidar_problem(
     input-grid size n_x^2.  The disk's bounding square and the input
     square each get max(2, ceil(budget**(1/d))) Chebyshev nodes per axis,
     with d = 3 on the output side when there are several times; time is
-    sampled at the n_t measurement times (``build_lowrank``).
+    sampled at the n_t measurement times (``build_lowrank``).  Rows are
+    location-major, so sector k owns n_r n_t consecutive rows.
     """
     disk = build_disk_mesh(DiskSensorDomain(cfg.n_d, cfg.n_r))
     square = RectDomain((-1.0, -1.0), (1.0, 1.0))
     grid = build_mesh(square, (cfg.n_x, cfg.n_x))
-    st_mesh = spacetime_mesh(disk, cfg.times)
     kern = advdiff_kernel(cfg)
     budget_nodes = node_budget(node_constant, grid.n_points)
-    lowrank = build_lowrank(kern, st_mesh, grid, budget_nodes)
+    lowrank = build_lowrank(kern, disk, grid, budget_nodes, cfg.times)
     setup = BayesSetup(alpha=cfg.alpha, sigma2_noise=cfg.sigma2_noise, criterion=criterion)
-    return LidarProblem(cfg, lowrank, st_mesh.sector, setup, disk, grid, kern)
+    row_group = np.repeat(disk.sector, cfg.n_t)
+    return LidarProblem(cfg, lowrank, row_group, setup, disk, grid, kern)

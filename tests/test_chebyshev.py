@@ -8,7 +8,6 @@ from sensorplace import (
     DiskSensorDomain,
     Kernel,
     LidarConfig,
-    MeshedDomain,
     RectDomain,
     advdiff_kernel,
     build_disk_mesh,
@@ -221,34 +220,36 @@ class TestBuildLowRank:
         lowrank = build_lowrank(gaussian_difference_kernel(), mesh, mesh, 6)
         assert lowrank.coef_in is lowrank.coef_out
         assert calls == [30]
-        # a space-time output mesh and its input grid still get one each;
-        # the output call sees the n_s = n_d * n_r locations, not n_s * n_t rows
+        # a LIDAR problem's disk and its input grid still get one each; the
+        # output call sees the n_s = n_d * n_r locations, not n_s * n_t rows
         calls.clear()
         prob = build_lidar_problem(LidarConfig(n_d=4, n_r=2, n_t=2, n_x=3), 2.0)
         assert calls == [4 * 2, 3 * 3]
         assert prob.lowrank.coef_in is not prob.lowrank.coef_out
 
 
-def _disk_spacetime(n_t):
-    disk = build_disk_mesh(DiskSensorDomain(6, 3))
-    return disk, spacetime_mesh(disk, np.linspace(0.5, 2.0, n_t))
+def _disk_times(n_t):
+    return build_disk_mesh(DiskSensorDomain(6, 3)), np.linspace(0.5, 2.0, n_t)
 
 
 class TestSpaceTimeFactors:
-    """coef_out = coef_space kron I_{n_t} on a location-major space-time mesh."""
+    """coef_out = coef_space kron I_{n_t} over the location-major rows of
+    ``spacetime_mesh``, the reference layout."""
 
     @pytest.mark.parametrize("n_t", [1, 5])
     def test_coef_out_equals_full_coefficient_matrix(self, n_t):
-        _, stm = _disk_spacetime(n_t)
+        disk, times = _disk_times(n_t)
         grid = build_mesh(RectDomain((-1.0, -1.0), (1.0, 1.0)), 4)
         budget = 30
-        lowrank = build_lowrank(advdiff_kernel(LidarConfig(n_t=n_t)), stm, grid, budget)
+        lowrank = build_lowrank(advdiff_kernel(LidarConfig(n_t=n_t)), disk, grid, budget, times)
         # the grids of the dense route: the spatial Chebyshev grids, with
         # the budget split as if several times were one more axis, and the
-        # measurement times themselves as the time axis's nodes
+        # measurement times themselves as the time axis's nodes, over the
+        # rows of the space-time mesh
+        stm = spacetime_mesh(disk, times)
         each = nodes_per_axis(budget, 2 + (n_t > 1))
-        grids = [chebyshev_nodes(each, lo, hi) for lo, hi in stm.bounds]
-        grids.append(Grid1D(stm.times))
+        grids = [chebyshev_nodes(each, lo, hi) for lo, hi in disk.bounds]
+        grids.append(Grid1D(times))
         assert "coef_out" not in vars(lowrank)
         assert lowrank.n_rows == stm.n_points
         assert lowrank.node_values.shape[0] == each**2 * n_t
@@ -261,11 +262,11 @@ class TestSpaceTimeFactors:
         # a kernel that is constant in x and linear in y is reproduced by
         # the spatial grids; exp(-40 t) is reproduced only by sampling time
         # at the measurement times, not by interpolating it between them
-        _, stm = _disk_spacetime(n_t)
+        disk, times = _disk_times(n_t)
         grid = build_mesh(RectDomain((-1.0, -1.0), (1.0, 1.0)), 4)
         kern = Kernel(lambda x, y, t: np.exp(-40.0 * t) * (1.0 + y[..., 0]))
-        want = dense_kernel_matrix(kern, stm, grid)
-        got = build_lowrank(kern, stm, grid, 30).dense()
+        want = dense_kernel_matrix(kern, spacetime_mesh(disk, times), grid)
+        got = build_lowrank(kern, disk, grid, 30, times).dense()
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_row_count_must_be_a_multiple(self):
@@ -275,10 +276,10 @@ class TestSpaceTimeFactors:
         assert chebyshev.LowRankKernel(np.ones((2, 6)), np.ones((6, 3)), np.ones((3, 5))).n_rows == 18
 
     def test_factor_product_matches_coef_out(self, rng):
-        _, stm = _disk_spacetime(5)
+        disk, times = _disk_times(5)
         grid = build_mesh(RectDomain((-1.0, -1.0), (1.0, 1.0)), 4)
         line = build_mesh(RectDomain((-1.0,), (1.0,)), 40)
-        cases = [build_lowrank(advdiff_kernel(LidarConfig(n_t=5)), stm, grid, 30),
+        cases = [build_lowrank(advdiff_kernel(LidarConfig(n_t=5)), disk, grid, 30, times),
                  build_lowrank(gaussian_difference_kernel(), line, line, 8)]
         for lowrank in cases:
             m = rng.normal(size=(7, lowrank.node_values.shape[0]))
@@ -286,26 +287,6 @@ class TestSpaceTimeFactors:
             want = m @ lowrank.coef_out
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-
-    def test_time_major_mesh_rejected(self):
-        disk, stm = _disk_spacetime(3)
-        grid = build_mesh(RectDomain((-1.0, -1.0), (1.0, 1.0)), 4)
-        kern = advdiff_kernel(LidarConfig(n_t=3))
-        # the same rows, time-major: every location at t_1, then at t_2, ...
-        pts = np.column_stack([np.tile(disk.points, (3, 1)), np.repeat(stm.times, disk.n_points)])
-        time_major = MeshedDomain(pts, disk.cell_measure, stm.bounds, times=stm.times)
-        with pytest.raises(ValueError, match="location-major"):
-            build_lowrank(kern, time_major, grid, 30)
-        # a row count that is no multiple of n_t
-        short = MeshedDomain(stm.points[:-1], disk.cell_measure, stm.bounds, times=stm.times)
-        with pytest.raises(ValueError, match="location-major"):
-            build_lowrank(kern, short, grid, 30)
-        # the times in order, but the first row at the second location
-        pts = stm.points.copy()
-        pts[0, :2] = stm.points[3, :2]
-        mixed = MeshedDomain(pts, disk.cell_measure, stm.bounds, times=stm.times)
-        with pytest.raises(ValueError, match="location-major"):
-            build_lowrank(kern, mixed, grid, 30)
 
 
 class TestNodeBudget:

@@ -28,6 +28,10 @@ node_constant = 4
 epsilon = 1e-4
 """
 
+# the oracle stops at its own fixed epsilon and refuses a config that
+# sets another, so its LIDAR runs leave TINY_LIDAR's epsilon out
+TINY_LIDAR_ORACLE = TINY_LIDAR.replace("epsilon = 1e-4\n", "")
+
 TINY_ANALYTIC = """
 problem = gauss
 n = 30
@@ -143,7 +147,7 @@ class TestOracleCommand:
         assert not (out / "summary.json").exists()
 
     def test_lidar_oracle_rows_are_sectors(self, tmp_path):
-        cfg = write_config(tmp_path, TINY_LIDAR)
+        cfg = write_config(tmp_path, TINY_LIDAR_ORACLE)
         out = tmp_path / "lidar"
         assert main(["--command", "oracle", "--config", cfg, "--out", str(out)]) == 0
         with open(out / "oracle.csv", newline="") as fh:
@@ -276,8 +280,8 @@ class TestSummaryConfig:
                     "sizes": [16, 32], "constants": [2.0, 3.0]}
         assert list(config.items()) == list(expected.items())
 
-    # TINY_LIDAR sets epsilon = 1e-4, TINY_ANALYTIC leaves the default 1e-3
-    @pytest.mark.parametrize("text", [TINY_LIDAR, TINY_ANALYTIC], ids=["lidar", "analytic"])
+    # neither config sets epsilon: the oracle records its own, not the default 1e-3
+    @pytest.mark.parametrize("text", [TINY_LIDAR_ORACLE, TINY_ANALYTIC], ids=["lidar", "analytic"])
     def test_oracle_records_its_epsilon(self, tmp_path, text):
         config, _ = self.config_block(tmp_path, text, "--command", "oracle")
         assert config["epsilon"] == 1e-8
@@ -307,7 +311,7 @@ class TestConfigRoundTrip:
     RUNS = {
         "design-lidar": ("design", TINY_LIDAR, []),
         "design-analytic": ("design", TINY_ANALYTIC, []),
-        "oracle-lidar": ("oracle", TINY_LIDAR, []),
+        "oracle-lidar": ("oracle", TINY_LIDAR_ORACLE, []),
         "oracle-analytic": ("oracle", TINY_ANALYTIC, []),
         "sweep-analytic": ("gap-sweep", TINY_ANALYTIC, ["--sizes", "16,32", "--constants", "2,3"]),
         "sweep-lidar": ("gap-sweep", TINY_LIDAR, ["--sizes", "4,6"]),
@@ -365,6 +369,15 @@ class TestExitCodes:
         out = tmp_path / "limit"
         assert main(["--command", "oracle", "--config", cfg, "--out", str(out)]) == 2
         assert not (out / "summary.json").exists()
+
+    # the oracle's epsilon is fixed at cli.ORACLE_EPSILON, which the message names
+    @pytest.mark.parametrize("line", ["epsilon = 0.5", "epsilon = 1e-4"])
+    def test_oracle_epsilon_is_2(self, tmp_path, capsys, line):
+        cfg = write_config(tmp_path, TINY_LIDAR_ORACLE + line + "\n")
+        out = tmp_path / "eps"
+        assert main(["--command", "oracle", "--config", cfg, "--out", str(out)]) == 2
+        assert not (out / "summary.json").exists()
+        assert "epsilon = 1e-08" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", ["n = 500", "budget_fraction = 0.9"])
     def test_analytic_key_for_lidar_problem_is_2(self, tmp_path, line):

@@ -10,6 +10,7 @@ from sensorplace import (
     advdiff_solution,
     build_disk_mesh,
     build_lidar_problem,
+    build_lowrank,
     build_mesh,
     dense_kernel_matrix,
     exact_factor,
@@ -315,7 +316,33 @@ class TestBuildLidarProblem:
         # the row map is the dense F's location-major, time-minor layout, and
         # the angles are the beam midlines 2 pi (k + 1/2) / n_d, to the bit
         np.testing.assert_array_equal(prob.row_group, np.repeat(np.arange(8), 4 * 3))
+        np.testing.assert_array_equal(prob.row_group,
+                                      spacetime_mesh(prob.disk_mesh, cfg.times).sector)
         np.testing.assert_array_equal(prob.sector_angles, 2.0 * np.pi * (np.arange(8) + 0.5) / 8)
+
+    def test_builds_no_spacetime_mesh(self, monkeypatch):
+        # the surrogate is built from the disk mesh and the times; no
+        # space-time mesh is built, under either name it is looked up by
+        import sensorplace.domains as domains_module
+        import sensorplace.lidar as lidar_module
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return spacetime_mesh(*args, **kwargs)
+
+        monkeypatch.setattr(domains_module, "spacetime_mesh", counting)
+        monkeypatch.setattr(lidar_module, "spacetime_mesh", counting)
+        build_lidar_problem(LidarConfig(n_d=6, n_r=3, n_x=4, n_t=4), node_constant=4.0)
+        assert calls == []
+
+    def test_empty_times_rejected(self):
+        cfg = LidarConfig(n_d=6, n_r=3, n_x=4)
+        disk = build_disk_mesh(DiskSensorDomain(6, 3))
+        grid = build_mesh(RectDomain((-1.0, -1.0), (1.0, 1.0)), (4, 4))
+        with pytest.raises(ValueError, match="measurement time"):
+            build_lowrank(advdiff_kernel(cfg), disk, grid, 30, times=[])
 
     def test_design_path_never_forms_coef_out(self):
         # grouped designs read the output coefficients only through
