@@ -31,7 +31,6 @@ from .domains import (
     dense_kernel_matrix,
     gaussian_difference_kernel,
     product_exponential_kernel,
-    scalar_kernel,
     spacetime_mesh,
 )
 from .exceptions import NonconvergenceError, NumericalFailure
@@ -39,19 +38,16 @@ from .lidar import (
     LidarConfig,
     LidarProblem,
     advdiff_kernel,
-    advdiff_solution,
     build_lidar_problem,
     exact_factor,
     fourier_coefficients_u0,
     reconstruct_u0,
-    transformed_initial_coefficients,
 )
 from .objective import (
     BayesSetup,
     DesignWeights,
     InterpolatedDerivatives,
     PosteriorEngine,
-    dense_objective_and_derivatives,
     dense_objective_value,
     shared_engine,
 )

@@ -279,6 +279,15 @@ def _summary_base(spec: RunSpec) -> dict:
     return {"command": spec.command, "config": config}
 
 
+def _dense_values(assembled: _Assembled, w_rel, w_int):
+    """(relaxed, binary) criterion values on the dense F, or None past
+    ``DENSE_MAX_N``: the one route to design's and gap-sweep's dense figures."""
+    f_dense = assembled.dense_f(DENSE_MAX_N)
+    if f_dense is None:
+        return None
+    return tuple(dense_objective_value(f_dense, w, assembled.setup) for w in (w_rel, w_int))
+
+
 def cmd_design(spec: RunSpec) -> dict:
     assembled = _assemble(spec)
     result, w_int = _design_once(spec.sqp_config(), assembled)
@@ -294,12 +303,9 @@ def cmd_design(spec: RunSpec) -> dict:
         "sum_w_int": float(w_int.w.sum()),
         "gap_surrogate": gap.surrogate,
     }
-    f_dense = assembled.dense_f(DENSE_MAX_N)
-    if f_dense is not None:
-        metrics["objective_dense_relaxed"] = dense_objective_value(
-            f_dense, result.weights, assembled.setup
-        )
-        metrics["objective_dense_binary"] = dense_objective_value(f_dense, w_int, assembled.setup)
+    dense = _dense_values(assembled, result.weights, w_int)
+    if dense is not None:
+        metrics["objective_dense_relaxed"], metrics["objective_dense_binary"] = dense
     _write_design_csv(spec, "design.csv", result.weights.w, w_int.w, assembled.angles)
     return metrics
 
@@ -334,10 +340,9 @@ def cmd_gap_sweep(spec: RunSpec) -> dict:
             try:
                 assembled = _assemble(spec, size=n, constant=c)
                 result, w_int = _design_once(spec.sqp_config(), assembled)
-                gap = integrality_gap(assembled.lowrank, assembled.setup, result.weights, w_int,
-                                      dense_f=assembled.dense_f(DENSE_MAX_N))
-                rows.append([n, c, gap.surrogate,
-                             "" if gap.dense is None else gap.dense,
+                gap = integrality_gap(assembled.lowrank, assembled.setup, result.weights, w_int)
+                dense = _dense_values(assembled, result.weights, w_int)
+                rows.append([n, c, gap.surrogate, "" if dense is None else dense[1] - dense[0],
                              time.perf_counter() - started, "ok"])
             except (NonconvergenceError, NumericalFailure, ValueError) as err:
                 rows.append([n, c, "", "", time.perf_counter() - started, f"error: {err}"])

@@ -3,7 +3,9 @@
 Meshes use cell-midpoint points with a row-major linearization: the flat
 index of the grid point (i_0, i_1, ...) is ``i_0 * n_1 * n_2 * ... + i_1 * n_2
 * ... + ...`` (0-based), the same convention used for tensor interpolation
-nodes.  Space-time meshes, the reference layout, are location-major, time-minor.
+nodes.  Space-time meshes, the reference layout, are location-major,
+time-minor; ``dense_kernel_matrix`` takes spatial meshes only, and the
+tests build their space-time reference F themselves (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ __all__ = [
     "gaussian_difference_kernel",
     "product_exponential_kernel",
     "cubic_distance_kernel",
-    "scalar_kernel",
 ]
 
 # Rows of F evaluated per block by ``dense_kernel_matrix``, bounding the
@@ -169,7 +170,7 @@ def spacetime_mesh(spatial: MeshedDomain, times) -> MeshedDomain:
     point i at time t_j (both 0-based).  Time is appended as the last
     coordinate; ``bounds`` stays the spatial box.  Surrogates take the
     spatial mesh and the times instead (``build_lowrank``); this is the
-    reference layout that ``dense_kernel_matrix``, tests and benchmark read.
+    reference layout that the tests and the benchmark read.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.size < 1:
@@ -185,52 +186,23 @@ def spacetime_mesh(spatial: MeshedDomain, times) -> MeshedDomain:
 def dense_kernel_matrix(
     kernel: Kernel, out_mesh: MeshedDomain, in_mesh: MeshedDomain
 ) -> np.ndarray:
-    """Full matrix F with F[i, j] = f(x_i, y_j[, t_i]) * cell_measure(in).
+    """Full matrix F with F[i, j] = f(x_i, y_j) * cell_measure(in).
 
-    A space-time output mesh (:func:`spacetime_mesh`) gives the
-    location-major, time-minor rows, with its last coordinate as the time.
-    Rows are evaluated in blocks to bound peak memory.
+    Both meshes are spatial; a space-time output mesh raises.  Rows are
+    evaluated in blocks to bound peak memory.
     """
     if out_mesh.n_points == 0 or in_mesh.n_points == 0:
         raise ValueError("meshes must be nonempty")
-    has_time = out_mesh.times is not None
-    d_out = out_mesh.dim - (1 if has_time else 0)
+    if out_mesh.times is not None:
+        raise ValueError("dense_kernel_matrix takes a spatial output mesh, not a space-time one")
     X = out_mesh.points
-    Y = in_mesh.points
-    n, m = X.shape[0], Y.shape[0]
-    F = np.empty((n, m))
-    for start in range(0, n, DENSE_BLOCK_ROWS):
-        stop = min(start + DENSE_BLOCK_ROWS, n)
-        xb = X[start:stop, None, :d_out]
-        yb = Y[None, :, :]
-        if has_time:
-            tb = X[start:stop, None, d_out]
-            F[start:stop] = kernel(xb, yb, tb)
-        else:
-            F[start:stop] = kernel(xb, yb)
+    Y = in_mesh.points[None, :, :]
+    F = np.empty((X.shape[0], in_mesh.n_points))
+    for start in range(0, X.shape[0], DENSE_BLOCK_ROWS):
+        stop = min(start + DENSE_BLOCK_ROWS, X.shape[0])
+        F[start:stop] = kernel(X[start:stop, None, :], Y)
     F *= in_mesh.cell_measure
     return F
-
-
-def scalar_kernel(func: Callable) -> Kernel:
-    """Wrap a scalar f(x, y[, t]) of coordinate tuples into a Kernel."""
-
-    def evaluator(x, y, t=None):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if t is None:
-            xb, yb = np.broadcast_arrays(x, y)
-            out = np.empty(xb.shape[:-1])
-            for idx in np.ndindex(out.shape):
-                out[idx] = func(tuple(xb[idx]), tuple(yb[idx]))
-            return out
-        xb, yb, tb = np.broadcast_arrays(x, y, np.asarray(t, dtype=float)[..., None])
-        out = np.empty(xb.shape[:-1])
-        for idx in np.ndindex(out.shape):
-            out[idx] = func(tuple(xb[idx]), tuple(yb[idx]), float(tb[idx][0]))
-        return out
-
-    return Kernel(evaluator)
 
 
 def gaussian_difference_kernel() -> Kernel:

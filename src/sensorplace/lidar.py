@@ -18,7 +18,8 @@ The basis functions have unit L2 norm on [-1, 1], so unnormalized
 projections are the expansion coefficients.  Over the K = p^2 modes the
 exact kernel matrix is the rank-K product U V^T (``exact_factor``).  An
 external source adds an independent term to the solution and never
-enters this kernel, so it has no effect on the design.
+enters this kernel, so it has no effect on the design; the solution
+field itself, source included, is a test oracle (``tests/oracles.py``).
 
 The sensing geometry is a LIDAR at the origin of the unit disk: beams
 through sector midlines, measurements along each beam at a fixed set of
@@ -55,14 +56,9 @@ __all__ = [
     "exact_factor",
     "fourier_coefficients_u0",
     "reconstruct_u0",
-    "transformed_initial_coefficients",
-    "advdiff_solution",
     "LidarProblem",
     "build_lidar_problem",
 ]
-
-# Gauss-Legendre order of the Duhamel time integral in ``advdiff_solution``.
-SOURCE_QUAD_ORDER = 40
 
 
 @dataclass(frozen=True)
@@ -230,47 +226,6 @@ def reconstruct_u0(coeffs: np.ndarray, x, y) -> np.ndarray:
     bx = dirichlet_basis(ks, x[..., None])  # (..., p)
     by = dirichlet_basis(ks, y[..., None])
     return np.einsum("...i,ij,...j->...", bx, coeffs, by)
-
-
-def transformed_initial_coefficients(cfg: LidarConfig, u0) -> np.ndarray:
-    """Coefficients of v0 = exp(-a x - b y) u0, the heat-equation initial state."""
-    a, b, _ = cfg.drift
-
-    def v0(x, y):
-        return np.exp(-a * x - b * y) * np.asarray(u0(x, y), dtype=float)
-
-    return fourier_coefficients_u0(v0, cfg.p)
-
-
-def advdiff_solution(
-    cfg: LidarConfig,
-    v0_coeffs: np.ndarray,
-    points: np.ndarray,
-    t: float,
-    source_modes=None,
-) -> np.ndarray:
-    """Solution field u(x, t) from heat-variable coefficients.
-
-    ``source_modes(s)`` (optional) returns the (p, p) Fourier coefficients
-    of the transformed source at time s; its Duhamel integral is added to
-    the initial-condition part.  The source changes the solution but not
-    the propagation kernel, which is the point of the independence check.
-    """
-    table = mode_table(cfg.p, cfg.mu)
-    a, b, g = cfg.drift
-    coeffs = np.asarray(v0_coeffs, dtype=float).reshape(-1)
-    amp = np.exp(-table.decay * t) * coeffs
-    if source_modes is not None and t > 0:
-        nodes, wts = np.polynomial.legendre.leggauss(SOURCE_QUAD_ORDER)
-        s_nodes = 0.5 * t * (nodes + 1.0)
-        s_wts = 0.5 * t * wts
-        for s, ws in zip(s_nodes, s_wts):
-            src = np.asarray(source_modes(s), dtype=float).reshape(-1)
-            amp = amp + ws * np.exp(-table.decay * (t - s)) * src
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    modes = _mode_product(table, pts)  # (n, K)
-    drift = np.exp(g * t + a * pts[:, 0] + b * pts[:, 1])
-    return drift * (modes @ amp)
 
 
 @dataclass(frozen=True, eq=False)

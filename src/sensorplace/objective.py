@@ -21,9 +21,9 @@ designs get the exact gradient of the surrogate and its exact Hessian
 from the rho x rho per-group Gram matrices, at
 O(n_w rho^2 min(n_w, rho^2)) per call.  Both hand the Hessian on as the
 rows W of ``QpProblem.rows``, H = W^T W cut at ``HESSIAN_CUT`` by
-``qp_solver.hessian_rows``.  The
-``dense_*`` functions factor an explicit F and exist only as validation
-oracles on small problems.
+``qp_solver.hessian_rows``.  ``dense_objective_value`` scores a design
+on an explicit F by one dense eigendecomposition; it is the CLI's dense
+check on small problems, and the tests' oracles build on it.
 
 Space-time designs attach one weight to a group of rows (all measurement
 times along one beam).  Groups are contiguous runs of rows, numbered
@@ -48,7 +48,6 @@ __all__ = [
     "PosteriorEngine",
     "shared_engine",
     "dense_objective_value",
-    "dense_objective_and_derivatives",
 ]
 
 # Solver round-off can push weights slightly negative; anything beyond
@@ -331,46 +330,3 @@ def dense_objective_value(f_matrix: np.ndarray, weights: DesignWeights, setup: B
     lam = np.clip(np.linalg.eigvalsh(gram), 0.0, None)
     return _value_from_eigs(lam, setup, f.shape[1])
 
-
-def dense_objective_and_derivatives(
-    f_matrix: np.ndarray,
-    weights: DesignWeights,
-    setup: BayesSetup,
-):
-    """Exact value, gradient, and Hessian by dense factorization.
-
-    Validation oracle; it forms n x n matrices for an n-row F.
-    Per-row formulas (A-criterion)
-
-        g_i = -sigma2 * || (F^T W F + alpha I)^(-1) f_i ||^2,
-        H_ij = 2 sigma2 * (f_i^T (.)^(-1) f_j) (f_i^T (.)^(-2) f_j),
-
-    with f_i the i-th row of F; the D-criterion uses
-    g_i = -f_i^T (.)^(-1) f_i and H_ij = (f_i^T (.)^(-1) f_j)^2.
-    Group entries sum their rows (and row pairs).
-    """
-    f = np.asarray(f_matrix, dtype=float)
-    v = np.clip(weights.row_weights(), 0.0, None)
-    if v.size != f.shape[0]:
-        raise ValueError("weights do not match the row count")
-    m = f.shape[1]
-    a = f.T @ (v[:, None] * f) + setup.alpha * np.eye(m)
-    lam = np.clip(np.linalg.eigvalsh(a) - setup.alpha, 0.0, None)
-    value = _value_from_eigs(lam, setup, m)
-    s = np.linalg.solve(a, f.T)  # columns: (.)^(-1) f_i
-    m1 = f @ s
-    m1 = 0.5 * (m1 + m1.T)
-    m2 = s.T @ s
-    sigma2 = setup.sigma2_noise
-    if setup.criterion == "A":
-        g_rows = -sigma2 * np.diag(m2)
-        h_rows = 2.0 * sigma2 * (m1 * m2)
-    else:
-        g_rows = -np.diag(m1)
-        h_rows = m1 * m1
-    if weights.row_group is None:
-        return value, g_rows, h_rows
-    starts = _check_groups(weights.row_group, weights.n_weights)
-    gradient = np.add.reduceat(g_rows, starts)
-    hessian = np.add.reduceat(np.add.reduceat(h_rows, starts, axis=0), starts, axis=1)
-    return value, gradient, hessian

@@ -16,12 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebyshev import LowRankKernel
-from .objective import (
-    BayesSetup,
-    DesignWeights,
-    dense_objective_value,
-    shared_engine,
-)
+from .objective import BayesSetup, DesignWeights, shared_engine
 
 __all__ = [
     "RoundingPlan",
@@ -109,7 +104,6 @@ def prefix_deviation(w_rel: np.ndarray, w_int: np.ndarray, order: np.ndarray | N
 @dataclass(frozen=True)
 class GapReport:
     surrogate: float
-    dense: float | None = None
 
 
 def integrality_gap(
@@ -117,25 +111,20 @@ def integrality_gap(
     setup: BayesSetup,
     w_rel: DesignWeights,
     w_int: DesignWeights,
-    dense_f: np.ndarray | None = None,
 ) -> GapReport:
     """Objective increase of the rounded design over the relaxed one.
 
-    The surrogate gap phi_s(w_int) - phi_s(w_rel) is nonnegative when
-    w_rel minimizes the relaxation.  The SQP's stopping test does not
-    certify that, so a stopped w_rel can sit slightly above the minimum
-    and the gap read slightly negative.  The dense gap is reported when
-    the full matrix is supplied.
+    The gap phi(w_int) - phi(w_rel) is taken on ``lowrank``'s engine: a
+    Chebyshev surrogate, or an exact factor such as ``LidarProblem.exact``.
+    It is nonnegative when w_rel minimizes the relaxation.  The SQP's
+    stopping test does not certify that, so a stopped w_rel can sit
+    slightly above the minimum and the gap read slightly negative.  A
+    dense F's gap is two ``dense_objective_value`` calls; the CLI's
+    ``design`` and ``gap-sweep`` report it that way.
     """
     if w_rel.n_weights != w_int.n_weights:
         raise ValueError("weight vectors must have the same length")
     # the engine SQP used; w_rel first, as its last point is cached
     engine = shared_engine(lowrank, setup, w_rel.row_group)
     value_rel = engine.value(w_rel.w)
-    gap_s = engine.value(w_int.w) - value_rel
-    gap_d = None
-    if dense_f is not None:
-        gap_d = dense_objective_value(dense_f, w_int, setup) - dense_objective_value(
-            dense_f, w_rel, setup
-        )
-    return GapReport(float(gap_s), None if gap_d is None else float(gap_d))
+    return GapReport(float(engine.value(w_int.w) - value_rel))

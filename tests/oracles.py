@@ -2,16 +2,33 @@
 
 Everything here deliberately avoids the library's fast paths: dense
 linear algebra, exhaustive enumeration, and finite differences only.
-The one exception is ``stacked_solve_qp``, the reference for the block
-form of the interior-point loop, which shares the library's Newton
+The dense derivative oracle, the scalar kernel wrapper and the
+space-time reference F live here because only tests call them.  Two
+exceptions share library code.  ``stacked_solve_qp``, the reference for
+the block form of the interior-point loop, shares the library's Newton
 operator so that both loops can be compared step for step.
+``advdiff_solution`` builds the advection-diffusion solution field from
+the library's public mode table, Dirichlet basis and Fourier projection,
+so it checks the propagation in time and the source term, not the basis.
 """
 
 import itertools
+from typing import Callable
 
 import numpy as np
 
-from sensorplace import BayesSetup, DesignWeights, dense_objective_value, qp_solver
+from sensorplace import (
+    BayesSetup,
+    DesignWeights,
+    Kernel,
+    dense_objective_value,
+    fourier_coefficients_u0,
+    qp_solver,
+)
+from sensorplace.lidar import dirichlet_basis, mode_table
+
+# Gauss-Legendre order of the Duhamel time integral in ``advdiff_solution``.
+SOURCE_QUAD_ORDER = 40
 
 
 def dense_hessian(rows):
@@ -148,6 +165,104 @@ def dense_value_direct(f_matrix, w, setup: BayesSetup):
     sign, logdet = np.linalg.slogdet(inv)
     assert sign > 0
     return float(m * np.log(setup.sigma2_noise) + logdet)
+
+
+def dense_objective_and_derivatives(f_matrix, weights: DesignWeights, setup: BayesSetup):
+    """Exact value, gradient, and Hessian by dense factorization.
+
+    It forms n x n matrices for an n-row F.  Per-row formulas (A-criterion)
+
+        g_i = -sigma2 * || (F^T W F + alpha I)^(-1) f_i ||^2,
+        H_ij = 2 sigma2 * (f_i^T (.)^(-1) f_j) (f_i^T (.)^(-2) f_j),
+
+    with f_i the i-th row of F; the D-criterion uses
+    g_i = -f_i^T (.)^(-1) f_i and H_ij = (f_i^T (.)^(-1) f_j)^2.
+    Group entries sum their rows (and row pairs).
+    """
+    f = np.asarray(f_matrix, dtype=float)
+    v = np.clip(weights.row_weights(), 0.0, None)
+    if v.size != f.shape[0]:
+        raise ValueError("weights do not match the row count")
+    m = f.shape[1]
+    a = f.T @ (v[:, None] * f) + setup.alpha * np.eye(m)
+    lam = np.clip(np.linalg.eigvalsh(a) - setup.alpha, 0.0, None)
+    s = np.linalg.solve(a, f.T)  # columns: (.)^(-1) f_i
+    m1 = f @ s
+    m1 = 0.5 * (m1 + m1.T)
+    m2 = s.T @ s
+    sigma2 = setup.sigma2_noise
+    if setup.criterion == "A":
+        value = float(sigma2 * np.sum(1.0 / (setup.alpha + lam)))
+        g_rows = -sigma2 * np.diag(m2)
+        h_rows = 2.0 * sigma2 * (m1 * m2)
+    else:
+        value = float(np.sum(np.log(sigma2 / (setup.alpha + lam))))
+        g_rows = -np.diag(m1)
+        h_rows = m1 * m1
+    if weights.row_group is None:
+        return value, g_rows, h_rows
+    # DesignWeights has checked that the groups are contiguous runs of rows
+    starts = np.flatnonzero(np.diff(weights.row_group, prepend=-1))
+    gradient = np.add.reduceat(g_rows, starts)
+    hessian = np.add.reduceat(np.add.reduceat(h_rows, starts, axis=0), starts, axis=1)
+    return value, gradient, hessian
+
+
+def scalar_kernel(func: Callable) -> Kernel:
+    """Wrap a scalar f(x, y) of coordinate tuples into a Kernel, one call per pair."""
+
+    def evaluator(x, y):
+        xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        out = np.empty(xb.shape[:-1])
+        for idx in np.ndindex(out.shape):
+            out[idx] = func(tuple(xb[idx]), tuple(yb[idx]))
+        return out
+
+    return Kernel(evaluator)
+
+
+def spacetime_kernel_matrix(kernel: Kernel, out_mesh, in_mesh) -> np.ndarray:
+    """The space-time reference F[i, j] = f(x_i, y_j, t_i) * cell_measure(in)
+    on a ``spacetime_mesh``, whose last coordinate is the time; its rows
+    are that mesh's location-major, time-minor rows."""
+    d = out_mesh.dim - 1
+    x = out_mesh.points
+    return kernel(x[:, None, :d], in_mesh.points[None, :, :], x[:, None, d]) * in_mesh.cell_measure
+
+
+def transformed_initial_coefficients(cfg, u0) -> np.ndarray:
+    """Coefficients of v0 = exp(-a x - b y) u0, the heat-equation initial state."""
+    a, b, _ = cfg.drift
+
+    def v0(x, y):
+        return np.exp(-a * x - b * y) * np.asarray(u0(x, y), dtype=float)
+
+    return fourier_coefficients_u0(v0, cfg.p)
+
+
+def advdiff_solution(cfg, v0_coeffs, points, t: float, source_modes=None) -> np.ndarray:
+    """Solution field u(x, t) of the LIDAR problem from heat-variable coefficients.
+
+    ``source_modes(s)`` (optional) returns the (p, p) Fourier coefficients
+    of the transformed source at time s; its Duhamel integral is added to
+    the initial-condition part.  The source changes the solution but not
+    the propagation kernel, which is the point of the independence check.
+    """
+    table = mode_table(cfg.p, cfg.mu)
+    a, b, g = cfg.drift
+    coeffs = np.asarray(v0_coeffs, dtype=float).reshape(-1)
+    amp = np.exp(-table.decay * t) * coeffs
+    if source_modes is not None and t > 0:
+        nodes, wts = np.polynomial.legendre.leggauss(SOURCE_QUAD_ORDER)
+        s_nodes = 0.5 * t * (nodes + 1.0)
+        s_wts = 0.5 * t * wts
+        for s, ws in zip(s_nodes, s_wts):
+            src = np.asarray(source_modes(s), dtype=float).reshape(-1)
+            amp = amp + ws * np.exp(-table.decay * (t - s)) * src
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    modes = dirichlet_basis(table.k1, pts[:, 0:1]) * dirichlet_basis(table.k2, pts[:, 1:2])
+    drift = np.exp(g * t + a * pts[:, 0] + b * pts[:, 1])
+    return drift * (modes @ amp)
 
 
 def loose_weights(w, row_group=None):

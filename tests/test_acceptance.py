@@ -21,7 +21,6 @@ from sensorplace import (
     build_lowrank,
     build_mesh,
     dense_kernel_matrix,
-    dense_objective_and_derivatives,
     dense_objective_value,
     gaussian_difference_kernel,
 
@@ -31,7 +30,12 @@ from sensorplace import (
     solve_relaxed,
     sum_up_round,
 )
-from oracles import dense_value_direct, enumerate_box_budget_qp
+from oracles import (
+    advdiff_solution,
+    dense_objective_and_derivatives,
+    dense_value_direct,
+    enumerate_box_budget_qp,
+)
 
 RNG_SEED = 987654321
 
@@ -335,7 +339,7 @@ def test_criterion_8_lidar_physics():
         coeffs = np.zeros(9)
         coeffs[mode_index] = 1.0
         for t in (0.2, 0.7):
-            u = sp.advdiff_solution(cfg0, coeffs, pts, t)
+            u = advdiff_solution(cfg0, coeffs, pts, t)
             expected = (
                 np.exp(-table.decay[mode_index] * t)
                 * sp.lidar.dirichlet_basis(k1, pts[:, 0])
@@ -392,7 +396,7 @@ def test_criterion_9_sanity_reconstruction():
 
 
 def test_criterion_10_integrality_gap_trend():
-    gaps_dense = {}
+    gaps_exact = {}
     for nd in (20, 40, 60):
         cfg = LidarConfig(n_d=nd, n_r=nd, n_x=nd)
         prob = build_lidar_problem(cfg, node_constant=8.0)
@@ -404,10 +408,7 @@ def test_criterion_10_integrality_gap_trend():
             row_group=prob.row_group,
         )
         w_int = sum_up_round(res.weights, sp.angular_plan(prob.sector_angles))
-        gap = integrality_gap(
-            prob.lowrank, prob.setup, res.weights, w_int, dense_f=prob.exact.dense()
-        )
-        gaps_dense[nd] = gap.dense
+        gaps_exact[nd] = integrality_gap(prob.exact, prob.setup, res.weights, w_int).surrogate
 
     cfg1 = LidarConfig()
     prob1 = build_lidar_problem(cfg1, node_constant=1.0)
@@ -421,15 +422,15 @@ def test_criterion_10_integrality_gap_trend():
     w_int1 = sum_up_round(res1.weights, sp.angular_plan(prob1.sector_angles))
     gap1 = integrality_gap(prob1.lowrank, prob1.setup, res1.weights, w_int1)
 
-    trend_ok = gaps_dense[60] < gaps_dense[20]
+    trend_ok = gaps_exact[60] < gaps_exact[20]
     zero_ok = gap1.surrogate == 0.0
     ok = trend_ok and zero_ok
     report(
         10,
         "integrality gap trend",
         ok,
-        f"gap_dense 20/40/60 = {gaps_dense[20]:.3e}/{gaps_dense[40]:.3e}/"
-        f"{gaps_dense[60]:.3e} (60<20: {trend_ok}), c=1 surrogate gap "
+        f"exact gap 20/40/60 = {gaps_exact[20]:.3e}/{gaps_exact[40]:.3e}/"
+        f"{gaps_exact[60]:.3e} (60<20: {trend_ok}), c=1 surrogate gap "
         f"{gap1.surrogate!r} (==0.0: {zero_ok})",
     )
 

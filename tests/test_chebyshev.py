@@ -26,7 +26,7 @@ from sensorplace import (
 from sensorplace import chebyshev
 from sensorplace.chebyshev import Grid1D, coefficient_matrix
 from sensorplace.gram import FACTOR_CUT
-from oracles import lagrange_product
+from oracles import lagrange_product, spacetime_kernel_matrix
 
 intervals = st.tuples(st.floats(-10.0, 10.0), st.floats(0.1, 10.0))
 fractions = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30)
@@ -265,7 +265,7 @@ class TestSpaceTimeFactors:
         disk, times = _disk_times(n_t)
         grid = build_mesh(RectDomain((-1.0, -1.0), (1.0, 1.0)), 4)
         kern = Kernel(lambda x, y, t: np.exp(-40.0 * t) * (1.0 + y[..., 0]))
-        want = dense_kernel_matrix(kern, spacetime_mesh(disk, times), grid)
+        want = spacetime_kernel_matrix(kern, spacetime_mesh(disk, times), grid)
         got = build_lowrank(kern, disk, grid, 30, times).dense()
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 

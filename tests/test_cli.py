@@ -190,6 +190,19 @@ class TestGapSweep:
         assert all(r["status"] == "ok" for r in rows)
         assert [r["gap_dense"] != "" for r in rows] == filled
 
+    def test_gap_dense_is_designs_dense_difference(self, tmp_path):
+        # without sizes or constants the sweep's one cell is the design's
+        # problem, and both commands take the dense figures one way
+        cfg = write_config(tmp_path, TINY_ANALYTIC)
+        sweep, design = tmp_path / "sweep", tmp_path / "design"
+        assert main(["--command", "gap-sweep", "--config", cfg, "--out", str(sweep)]) == 0
+        assert main(["--command", "design", "--config", cfg, "--out", str(design)]) == 0
+        with open(sweep / "gap_sweep.csv", newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        metrics = json.loads((design / "summary.json").read_text())["metrics"]
+        expected = metrics["objective_dense_binary"] - metrics["objective_dense_relaxed"]
+        assert float(row["gap_dense"]) == expected
+
     def test_lidar_sweep_without_sizes_rejected(self, tmp_path, monkeypatch):
         import sensorplace.cli as cli_module
 

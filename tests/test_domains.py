@@ -9,10 +9,11 @@ from sensorplace import (
     build_mesh,
     dense_kernel_matrix,
     gaussian_difference_kernel,
-    scalar_kernel,
     spacetime_mesh,
 )
 from sensorplace.domains import Kernel
+
+from oracles import scalar_kernel, spacetime_kernel_matrix
 
 
 class TestRectDomain:
@@ -134,8 +135,11 @@ class TestDenseKernelMatrix:
                 assert row[0] == spatial.points[i1, 0]
                 assert row[1] == times[i2]
         kern = Kernel(lambda x, y, t: x[..., 0] + 10.0 * t)
-        f = dense_kernel_matrix(kern, st, spatial)
+        f = spacetime_kernel_matrix(kern, st, spatial)
         expected_col = np.array(
             [spatial.points[i1, 0] + 10.0 * times[i2] for i1 in range(3) for i2 in range(2)]
         )
         assert_allclose(f[:, 0] / spatial.cell_measure, expected_col)
+        # the library's dense F is spatial only
+        with pytest.raises(ValueError, match="space-time"):
+            dense_kernel_matrix(kern, st, spatial)

@@ -7,20 +7,24 @@ from sensorplace import (
     LidarConfig,
     RectDomain,
     advdiff_kernel,
-    advdiff_solution,
     build_disk_mesh,
     build_lidar_problem,
     build_lowrank,
     build_mesh,
-    dense_kernel_matrix,
     exact_factor,
     fourier_coefficients_u0,
     reconstruct_u0,
     spacetime_mesh,
-    transformed_initial_coefficients,
 )
 from sensorplace.lidar import dirichlet_basis, mode_table
-from sensorplace.objective import BayesSetup, DesignWeights, dense_objective_and_derivatives
+from sensorplace.objective import BayesSetup, DesignWeights
+
+from oracles import (
+    advdiff_solution,
+    dense_objective_and_derivatives,
+    spacetime_kernel_matrix,
+    transformed_initial_coefficients,
+)
 
 
 def sin_sin(x, y):
@@ -120,7 +124,7 @@ class TestSpacetimeF:
         disk = build_disk_mesh(DiskSensorDomain(4, 2))
         grid = build_mesh(RectDomain((-1.0, -1.0), (1.0, 1.0)), (3, 3))
         f = exact_factor(cfg, disk, grid).dense()
-        spatial = dense_kernel_matrix(advdiff_kernel(cfg), spacetime_mesh(disk, [0.7]), grid)
+        spatial = spacetime_kernel_matrix(advdiff_kernel(cfg), spacetime_mesh(disk, [0.7]), grid)
         assert_allclose(f, spatial, rtol=1e-12, atol=1e-15)
         assert f.shape[0] == 8
 
@@ -143,7 +147,7 @@ class TestSpacetimeF:
         disk = build_disk_mesh(DiskSensorDomain(5, 3))
         grid = build_mesh(RectDomain((-1.0, -1.0), (1.0, 1.0)), (4, 4))
         fast = exact_factor(cfg, disk, grid).dense()
-        generic = dense_kernel_matrix(advdiff_kernel(cfg), spacetime_mesh(disk, cfg.times), grid)
+        generic = spacetime_kernel_matrix(advdiff_kernel(cfg), spacetime_mesh(disk, cfg.times), grid)
         assert_allclose(fast, generic, rtol=1e-12, atol=1e-16)
 
     def test_source_independence_bit_identical(self):

@@ -16,7 +16,6 @@ from sensorplace import (
     build_lowrank,
     build_mesh,
     cubic_distance_kernel,
-    dense_objective_and_derivatives,
     dense_objective_value,
     gaussian_difference_kernel,
     integrality_gap,
@@ -28,6 +27,7 @@ from sensorplace import (
 )
 from sensorplace.gram import COLUMN_BLOCK
 from oracles import (
+    dense_objective_and_derivatives,
     dense_value_direct,
     dense_value_fn,
     finite_difference_gradient,

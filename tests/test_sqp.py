@@ -19,9 +19,10 @@ from sensorplace import (
     gaussian_difference_kernel,
     initial_point,
     qp_solver,
-    scalar_kernel,
     solve_relaxed,
 )
+
+from oracles import dense_objective_and_derivatives, scalar_kernel
 
 
 def interval_problem(n, kernel=None):
@@ -76,7 +77,7 @@ class TestSolveRelaxed:
         budget = 7.0
         res = solve_relaxed(f, setup, budget, SqpConfig(epsilon=1e-9))
 
-        from sensorplace import DesignWeights, dense_objective_and_derivatives
+        from sensorplace import DesignWeights
 
         def fun(w):
             return dense_objective_value(f, DesignWeights(np.clip(w, 0, 1), n), setup)
