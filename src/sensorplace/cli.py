@@ -3,7 +3,7 @@
 Commands
 --------
 design        surrogate SQP + sum-up rounding; writes design.csv, summary.json
-oracle        dense-F SQP with exact derivatives (validation baseline)
+oracle        design's pipeline on the exact F, scored on its SQP's engine
 gap-sweep     integrality gaps over problem sizes x node constants
 lidar-sanity  truncated-series reconstruction error per mode cutoff
 
@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chebyshev import build_lowrank, node_budget
+from .chebyshev import LowRankKernel, build_lowrank, node_budget
 from .domains import (
     RectDomain,
     build_mesh,
@@ -56,8 +56,8 @@ ANALYTIC_KERNELS = {
 
 
 # The ``oracle`` command's fixed SQP stopping threshold (a config's epsilon
-# must equal it), and the largest dense F (rows or columns): the oracle
-# refuses larger problems, design and gap-sweep leave their dense figures out.
+# must equal it), and the largest dense F (rows or columns): an analytic
+# oracle refuses larger F, design and gap-sweep leave their dense figures out.
 ORACLE_EPSILON = 1e-8
 ORACLE_MAX_N = 2000
 DENSE_MAX_N = 4000
@@ -144,6 +144,10 @@ def build_runspec(entries: dict, overrides: dict) -> RunSpec:
             lidar_kwargs[key] = parsed
     if spec.command not in COMMANDS:
         raise ConfigError(f"command must be one of {COMMANDS}")
+    # a command refuses a list key it would ignore
+    for key, readers in (("sizes", ("gap-sweep", "lidar-sanity")), ("constants", ("gap-sweep",))):
+        if key in merged and spec.command not in readers:
+            raise ConfigError(f"{spec.command} does not read {key}")
     if spec.problem not in ("lidar", *ANALYTIC_KERNELS):
         raise ConfigError(f"problem must be lidar or one of {sorted(ANALYTIC_KERNELS)}")
     try:
@@ -199,6 +203,7 @@ class _Assembled:
     row_group: np.ndarray | None
     angles: np.ndarray | None
     dense_builder: object  # () -> dense F, of the surrogate's shape
+    exact_builder: object  # () -> the exact F as a LowRankKernel
 
     def dense_f(self, max_n):
         """The dense F, or None when its rows or columns exceed ``max_n``."""
@@ -214,40 +219,37 @@ def _assemble(spec: RunSpec, size=None, constant=None) -> _Assembled:
         if size is not None:
             cfg = replace(cfg, n_d=size, n_r=size, n_x=size)
         prob = build_lidar_problem(cfg, constant, criterion=spec.criterion)
-        return _Assembled(
-            prob.lowrank,
-            prob.setup,
-            float(prob.budget),
-            prob.row_group,
-            prob.sector_angles,
-            lambda: prob.exact.dense(),
-        )
+        return _Assembled(prob.lowrank, prob.setup, float(prob.budget), prob.row_group,
+                          prob.sector_angles, lambda: prob.exact.dense(), lambda: prob.exact)
     n = spec.n if size is None else size
     mesh = build_mesh(RectDomain((-1.0,), (1.0,)), n)
     kern = ANALYTIC_KERNELS[spec.problem]()
     budget = max(1.0, round(spec.budget_fraction * n))
     setup = BayesSetup(alpha=spec.alpha, sigma2_noise=spec.sigma2_noise, criterion=spec.criterion)
     lowrank = build_lowrank(kern, mesh, mesh, node_budget(constant, n))
+
+    def identity_factor():  # the cap is checked before the dense F is formed
+        if n > ORACLE_MAX_N:
+            raise ConfigError(f"oracle refuses problems beyond {ORACLE_MAX_N} rows/cols (got {n})")
+        return LowRankKernel(np.eye(n), dense_kernel_matrix(kern, mesh, mesh), np.eye(n))
+
     return _Assembled(
         lowrank, setup, budget, None, None,
         lambda: dense_kernel_matrix(kern, mesh, mesh),
+        identity_factor,
     )
 
 
-def _design_once(config: SqpConfig, assembled: _Assembled, kernel_matrix=None):
-    """Relaxed SQP design on the surrogate (or on ``kernel_matrix``), then
-    sum-up rounding in natural or angular order."""
-    result = solve_relaxed(
-        assembled.lowrank if kernel_matrix is None else kernel_matrix,
-        assembled.setup,
-        assembled.budget,
-        config,
-        row_group=assembled.row_group,
-    )
+def _design_once(config: SqpConfig, assembled: _Assembled, lowrank: LowRankKernel):
+    """Relaxed SQP design on ``lowrank`` (the surrogate or the exact F), sum-up
+    rounding in natural or angular order, and the gap on that SQP's engine."""
+    result = solve_relaxed(lowrank, assembled.setup, assembled.budget, config,
+                           row_group=assembled.row_group)
     plan = (natural_plan(result.weights.n_weights) if assembled.angles is None
             else angular_plan(assembled.angles))
     w_int = sum_up_round(result.weights, plan)
-    return result, w_int
+    gap = integrality_gap(lowrank, assembled.setup, result.weights, w_int)
+    return result, w_int, gap.surrogate
 
 
 def _write_rows(spec: RunSpec, name, header, rows):
@@ -290,18 +292,17 @@ def _dense_values(assembled: _Assembled, w_rel, w_int):
 
 def cmd_design(spec: RunSpec) -> dict:
     assembled = _assemble(spec)
-    result, w_int = _design_once(spec.sqp_config(), assembled)
-    gap = integrality_gap(assembled.lowrank, assembled.setup, result.weights, w_int)
+    result, w_int, gap = _design_once(spec.sqp_config(), assembled, assembled.lowrank)
     relaxed = float(result.objective_trace[-1])
     metrics = {
         "objective_surrogate_relaxed": relaxed,
-        "objective_surrogate_binary": relaxed + gap.surrogate,
+        "objective_surrogate_binary": relaxed + gap,
         "iterations": result.iterations,
         "sqp_status": result.status,
         "budget": assembled.budget,
         "sum_w_rel": float(result.weights.w.sum()),
         "sum_w_int": float(w_int.w.sum()),
-        "gap_surrogate": gap.surrogate,
+        "gap_surrogate": gap,
     }
     dense = _dense_values(assembled, result.weights, w_int)
     if dense is not None:
@@ -312,15 +313,12 @@ def cmd_design(spec: RunSpec) -> dict:
 
 def cmd_oracle(spec: RunSpec) -> dict:
     assembled = _assemble(spec)
-    f_dense = assembled.dense_f(ORACLE_MAX_N)
-    if f_dense is None:
-        shape = (assembled.lowrank.n_rows, assembled.lowrank.n_cols)
-        raise ConfigError(f"oracle refuses problems beyond {ORACLE_MAX_N} rows/cols (got {shape})")
-    result, w_int = _design_once(spec.sqp_config(), assembled, kernel_matrix=f_dense)
+    result, w_int, gap = _design_once(spec.sqp_config(), assembled, assembled.exact_builder())
     _write_design_csv(spec, "oracle.csv", result.weights.w, w_int.w, assembled.angles)
+    relaxed = float(result.objective_trace[-1])
     return {
-        "objective_dense_relaxed": float(result.objective_trace[-1]),
-        "objective_dense_binary": dense_objective_value(f_dense, w_int, assembled.setup),
+        "objective_dense_relaxed": relaxed,
+        "objective_dense_binary": relaxed + gap,
         "iterations": result.iterations,
         "sqp_status": result.status,
     }
@@ -339,10 +337,9 @@ def cmd_gap_sweep(spec: RunSpec) -> dict:
             started = time.perf_counter()
             try:
                 assembled = _assemble(spec, size=n, constant=c)
-                result, w_int = _design_once(spec.sqp_config(), assembled)
-                gap = integrality_gap(assembled.lowrank, assembled.setup, result.weights, w_int)
+                result, w_int, gap = _design_once(spec.sqp_config(), assembled, assembled.lowrank)
                 dense = _dense_values(assembled, result.weights, w_int)
-                rows.append([n, c, gap.surrogate, "" if dense is None else dense[1] - dense[0],
+                rows.append([n, c, gap, "" if dense is None else dense[1] - dense[0],
                              time.perf_counter() - started, "ok"])
             except (NonconvergenceError, NumericalFailure, ValueError) as err:
                 rows.append([n, c, "", "", time.perf_counter() - started, f"error: {err}"])

@@ -22,8 +22,9 @@ from the rho x rho per-group Gram matrices, at
 O(n_w rho^2 min(n_w, rho^2)) per call.  Both hand the Hessian on as the
 rows W of ``QpProblem.rows``, H = W^T W cut at ``HESSIAN_CUT`` by
 ``qp_solver.hessian_rows``.  ``dense_objective_value`` scores a design
-on an explicit F by one dense eigendecomposition; it is the CLI's dense
-check on small problems, and the tests' oracles build on it.
+on an explicit F by one dense eigendecomposition; it is the dense check
+of design and gap-sweep on small problems, and the tests' oracles build
+on it (the oracle command scores on its exact factor's engine).
 
 Space-time designs attach one weight to a group of rows (all measurement
 times along one beam).  Groups are contiguous runs of rows, numbered

@@ -8,9 +8,9 @@ backtracks on the same objective until the sufficient-decrease condition
     phi(w + a p) <= phi(w) + xi * a * g^T p
 
 holds.  The loop stops once the objective decrease falls below
-``epsilon``.  A dense kernel matrix F runs as the exact factorization
-I F I, a ``LowRankKernel`` with identity output and input coefficients,
-through the same engine, Hessian-row cut and loop.
+``epsilon``.  The kernel is a ``LowRankKernel``: a Chebyshev surrogate or
+an exact factor (``LidarProblem.exact``, or a dense F as I F I), so every
+design runs through one engine, Hessian-row cut and loop.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def initial_point(n_weights: int, budget: float, row_group=None) -> DesignWeight
 
 
 def solve_relaxed(
-    kernel_matrix,
+    lowrank: LowRankKernel,
     setup: BayesSetup,
     budget: float,
     config: SqpConfig = SqpConfig(),
@@ -79,13 +79,12 @@ def solve_relaxed(
 ) -> SqpResult:
     """Minimize the relaxed design criterion over 0 <= w <= 1, sum w <= n0.
 
-    ``kernel_matrix`` is a LowRankKernel (surrogate mode) or a dense array
-    F (exact oracle mode), which enters once, at entry, as the exact
-    factorization ``LowRankKernel(I, F, I)``; both then run through one
-    ``shared_engine``.  Line-search objective values use the same engine
-    as the derivatives, so the Armijo test sees the function the model
-    describes.  Failures of the derivatives or the QP propagate with the
-    outer-iteration context.
+    ``lowrank`` is a surrogate or an exact factor such as
+    ``LidarProblem.exact`` (a dense array raises ``TypeError``); it runs
+    through ``shared_engine``, which ``integrality_gap`` then reuses.
+    Line-search objective values use the same engine as the derivatives,
+    so the Armijo test sees the function the model describes.  Failures
+    of the derivatives or the QP propagate with the outer-iteration context.
     ``row_group`` (None: one weight per row) gives each row's weight;
     each weight owns one contiguous run of rows, numbered in row order.
 
@@ -95,10 +94,9 @@ def solve_relaxed(
     backtracks met the sufficient-decrease test (``iterations`` counts
     that failed iteration; the weights stay at the last accepted point).
     """
-    if not isinstance(kernel_matrix, LowRankKernel):
-        f = np.asarray(kernel_matrix, dtype=float)
-        kernel_matrix = LowRankKernel(np.eye(f.shape[0]), f, np.eye(f.shape[1]))
-    engine = shared_engine(kernel_matrix, setup, row_group)
+    if not isinstance(lowrank, LowRankKernel):
+        raise TypeError(f"solve_relaxed takes a LowRankKernel, got {type(lowrank).__name__}")
+    engine = shared_engine(lowrank, setup, row_group)
     start = initial_point(engine.n_weights, budget, row_group=row_group)
     w = start.w.copy()
     current = engine.value(w)

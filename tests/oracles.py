@@ -3,9 +3,11 @@
 Everything here deliberately avoids the library's fast paths: dense
 linear algebra, exhaustive enumeration, and finite differences only.
 The dense derivative oracle, the scalar kernel wrapper and the
-space-time reference F live here because only tests call them.  Two
-exceptions share library code.  ``stacked_solve_qp``, the reference for
-the block form of the interior-point loop, shares the library's Newton
+space-time reference F live here because only tests call them.  Three
+exceptions share library code.  ``solve_relaxed_dense`` runs the library's
+SQP on a dense F, entered as the exact factorization I F I, because
+``solve_relaxed`` takes factors only.  ``stacked_solve_qp``, the reference
+for the block form of the interior-point loop, shares the library's Newton
 operator so that both loops can be compared step for step.
 ``advdiff_solution`` builds the advection-diffusion solution field from
 the library's public mode table, Dirichlet basis and Fourier projection,
@@ -21,9 +23,12 @@ from sensorplace import (
     BayesSetup,
     DesignWeights,
     Kernel,
+    LowRankKernel,
+    SqpConfig,
     dense_objective_value,
     fourier_coefficients_u0,
     qp_solver,
+    solve_relaxed,
 )
 from sensorplace.lidar import dirichlet_basis, mode_table
 
@@ -287,6 +292,14 @@ def dense_value_fn(f_matrix, setup, row_group=None):
         )
 
     return fn
+
+
+def solve_relaxed_dense(f_matrix, setup, budget, config=SqpConfig(), row_group=None):
+    """``solve_relaxed`` on a dense F as the exact factorization
+    ``LowRankKernel(I, F, I)``: the SQP oracle on an explicit matrix."""
+    f = np.asarray(f_matrix, dtype=float)
+    identity_f = LowRankKernel(np.eye(f.shape[0]), f, np.eye(f.shape[1]))
+    return solve_relaxed(identity_f, setup, budget, config, row_group=row_group)
 
 
 def stacked_solve_qp(problem, tol=1e-8, max_iter=100):

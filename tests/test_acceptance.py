@@ -35,6 +35,7 @@ from oracles import (
     dense_objective_and_derivatives,
     dense_value_direct,
     enumerate_box_budget_qp,
+    solve_relaxed_dense,
 )
 
 RNG_SEED = 987654321
@@ -236,7 +237,7 @@ def test_criterion_5_sqp_reaches_oracle():
         f = dense_kernel_matrix(KERNELS[kern_name](), mesh, mesh)
         setup = BayesSetup(alpha=alpha)
         budget = round(0.25 * n)
-        res = solve_relaxed(f, setup, float(budget), SqpConfig(epsilon=1e-9, max_outer=300))
+        res = solve_relaxed_dense(f, setup, float(budget), SqpConfig(epsilon=1e-9, max_outer=300))
         monotone &= bool(np.all(np.diff(res.objective_trace) <= 1e-12))
         w = res.weights.w
         feasible_ok &= w.min() >= 0 and w.max() <= 1 and w.sum() <= budget + 1e-9

@@ -8,8 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sensorplace import NonconvergenceError
-from sensorplace.cli import ConfigError, build_runspec, main, parse_config
+from sensorplace import LowRankKernel, NonconvergenceError, dense_objective_value
+from sensorplace.cli import ConfigError, _assemble, build_runspec, main, parse_config
+
+from oracles import loose_weights
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -145,6 +147,38 @@ class TestOracleCommand:
         out = tmp_path / "x"
         assert main(["--command", "oracle", "--config", cfg, "--out", str(out)]) == 2
         assert not (out / "summary.json").exists()
+
+    # both figures come from the engine of the oracle's own SQP; scored on
+    # the dense F of the same problem they agree to round-off
+    @pytest.mark.parametrize("text", [TINY_ANALYTIC, TINY_LIDAR_ORACLE], ids=["analytic", "lidar"])
+    def test_figures_match_dense_values(self, tmp_path, text):
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "oracle"
+        assert main(["--command", "oracle", "--config", cfg, "--out", str(out)]) == 0
+        with open(out / "oracle.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        metrics = json.loads((out / "summary.json").read_text())["metrics"]
+        assembled = _assemble(build_runspec(parse_config(cfg), {"command": "oracle"}))
+        f_dense = assembled.dense_f(np.inf)
+        for column, key in (("w_rel", "objective_dense_relaxed"),
+                            ("w_int", "objective_dense_binary")):
+            w = loose_weights([float(r[column]) for r in rows], assembled.row_group)
+            expected = dense_objective_value(f_dense, w, assembled.setup)
+            assert metrics[key] == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_lidar_oracle_forms_no_dense_f(self, tmp_path, monkeypatch):
+        import sensorplace.cli as cli_module
+
+        def no_dense(*args, **kwargs):
+            raise AssertionError("the LIDAR oracle formed a dense F")
+
+        # a LIDAR oracle runs on the mode factor, so no cap applies to it
+        monkeypatch.setattr(LowRankKernel, "dense", no_dense)
+        monkeypatch.setattr(cli_module, "ORACLE_MAX_N", 10)
+        cfg = write_config(tmp_path, TINY_LIDAR_ORACLE)
+        out = tmp_path / "lidar"
+        assert main(["--command", "oracle", "--config", cfg, "--out", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["status"] == "ok"
 
     def test_lidar_oracle_rows_are_sectors(self, tmp_path):
         cfg = write_config(tmp_path, TINY_LIDAR_ORACLE)
@@ -439,6 +473,23 @@ class TestExitCodes:
         argv = ["--command", "gap-sweep", "--config", cfg, "--out", str(out), *flags]
         assert main(argv) == 2
         assert not (out / "summary.json").exists()
+
+    # sizes and constants are read by gap-sweep, sizes also by lidar-sanity
+    @pytest.mark.parametrize("command, text, flags", [
+        ("design", TINY_ANALYTIC, ["--sizes", "10,20", "--constants", "5"]),
+        ("design", TINY_ANALYTIC, ["--sizes", "40"]),
+        ("design", TINY_LIDAR, ["--constants", "5"]),
+        ("oracle", TINY_ANALYTIC, ["--sizes", "10,20"]),
+        ("oracle", TINY_LIDAR_ORACLE + "constants = 5\n", []),
+        ("lidar-sanity", TINY_LIDAR, ["--sizes", "1,2", "--constants", "5"]),
+    ], ids=["design-both", "design-sizes", "design-constants", "oracle-sizes",
+            "oracle-constants-key", "sanity-constants"])
+    def test_ignored_list_key_is_2(self, tmp_path, capsys, command, text, flags):
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "lists"
+        assert main(["--command", command, "--config", cfg, "--out", str(out), *flags]) == 2
+        assert not (out / "summary.json").exists()
+        assert f"{command} does not read" in capsys.readouterr().err
 
     def test_solver_failure_is_3(self, tmp_path, monkeypatch):
         import sensorplace.cli as cli_module

@@ -22,6 +22,7 @@ from sensorplace.objective import BayesSetup, DesignWeights
 from oracles import (
     advdiff_solution,
     dense_objective_and_derivatives,
+    solve_relaxed_dense,
     spacetime_kernel_matrix,
     transformed_initial_coefficients,
 )
@@ -210,8 +211,8 @@ class TestExactFactor:
         config = SqpConfig(epsilon=1e-8)
         budget = float(prob.budget)
         factor = solve_relaxed(prob.exact, prob.setup, budget, config, row_group=prob.row_group)
-        dense = solve_relaxed(prob.exact.dense(), prob.setup, budget, config,
-                              row_group=prob.row_group)
+        dense = solve_relaxed_dense(prob.exact.dense(), prob.setup, budget, config,
+                                    row_group=prob.row_group)
         assert factor.status == dense.status
         assert factor.iterations == dense.iterations
         assert_allclose(factor.weights.w, dense.weights.w, rtol=0, atol=1e-10)
@@ -374,7 +375,7 @@ class TestBuildLidarProblem:
             SqpConfig(epsilon=1e-3), row_group=prob.row_group,
         )
         f = prob.exact.dense()
-        oracle = solve_relaxed(
+        oracle = solve_relaxed_dense(
             f, prob.setup, float(prob.budget),
             SqpConfig(epsilon=1e-8), row_group=prob.row_group,
         )
