@@ -3,8 +3,9 @@
 The surrogate replaces a kernel matrix F (n x m, F[i, j] = f(x_i, y_j) * dy)
 by F_s = C_out^T Ftilde C_in, where Ftilde holds kernel values at
 interpolation-node pairs and the coefficient matrices hold the Lagrange
-basis values of every mesh point.  Nodes per axis scale like O(log n), so
-F_s has rank O(log n) and storage O(n log n).
+basis values of every mesh point.  The node budget ceil(c log n) caps the
+nodes per axis, so F_s has rank O(log n) and storage O(n log n); each
+axis is chopped below the cap to the degree its node values resolve.
 
 Every interpolated axis is one ``Grid1D``: the Chebyshev points mapped
 onto the axis interval.  The Lagrange basis of a grid comes from the
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -152,11 +153,16 @@ class LowRankKernel:
     ``mul_coef_out`` applies coef_out from coef_space, and ``coef_out``
     forms the N_s n_t x n_s n_t matrix only on first access (ungrouped
     engines, ``dense`` and oracles).
+
+    ``error_estimate`` is a Chebyshev surrogate's estimate of
+    max |F_s - F| / max |F| from its node values (``build_lowrank``);
+    exact factors leave it None.
     """
 
     coef_space: np.ndarray
     node_values: np.ndarray
     coef_in: np.ndarray
+    error_estimate: float | None = None
 
     def __post_init__(self):
         if self.node_values.shape[0] % self.coef_space.shape[0]:
@@ -225,44 +231,111 @@ def _node_tuples(grids):
     return np.column_stack([g.ravel(order="C") for g in mesh])
 
 
+@lru_cache(maxsize=None)
+def _chebyshev_transform(n_nodes: int) -> np.ndarray:
+    """The N x N map from values at ``chebyshev_nodes(N)`` to the
+    coefficients a_0..a_{N-1} of their interpolant in T_0..T_{N-1}.
+
+    The closed-form DCT-I a_j = 2/(N-1) h_j sum_k h_k f_k cos(pi j k/(N-1)),
+    with h = 1/2 at both ends and 1 between; cached per N, read-only.
+    """
+    k = np.arange(n_nodes)
+    half = np.where((k == 0) | (k == n_nodes - 1), 0.5, 1.0)
+    # j k reduced mod 2(N-1) keeps the cosine's argument within [0, 2 pi)
+    angle = np.pi * (np.outer(k, k) % (2 * (n_nodes - 1))) / (n_nodes - 1)
+    mat = (2.0 / (n_nodes - 1)) * np.outer(half, half) * np.cos(angle)
+    mat.flags.writeable = False
+    return mat
+
+
+def _node_values(kernel, grids_out, grids_in, times, measure) -> np.ndarray:
+    """The kernel at every (spatial node, time, input node) times the input
+    cell measure, as (N_s, n_t, N_in); spread where it is constant along one."""
+    xt = _node_tuples(grids_out)
+    yt = _node_tuples(grids_in)
+    values = kernel(xt[:, None, None, :], yt[None, None, :, :], times)
+    n_t = 1 if times is None else times.shape[0]
+    return np.broadcast_to(values, (xt.shape[0], n_t, yt.shape[0])) * measure
+
+
+def _chop(values, caps_out, caps_in):
+    """Node count and largest trailing Chebyshev coefficient of every
+    interpolated axis of the (N_s, n_t, N_in) node values.
+
+    Along each axis, the largest coefficient of every degree over the
+    other axes is kept when above N * GRAM_CUT_PER_ROW of the largest of
+    all, the round-off of the transform, and the axis is cut after the
+    last degree kept, to no fewer than 2 nodes.  The trailing coefficient
+    is the largest cut one, or the last one when nothing is cut.
+    """
+    n_t = values.shape[1]
+    tensor = values.reshape(*caps_out, n_t, *caps_in)
+    axes = [*range(len(caps_out)), *range(len(caps_out) + 1, tensor.ndim)]
+    counts, tails = [], []
+    for ax in axes:
+        size = tensor.shape[ax]
+        coef = _chebyshev_transform(size) @ np.moveaxis(tensor, ax, 0).reshape(size, -1)
+        mags = np.abs(coef).max(axis=1)
+        kept = np.flatnonzero(cut_mask(mags, size * GRAM_CUT_PER_ROW))
+        count = max(2, kept[-1] + 1 if kept.size else 0)
+        counts.append(int(count))
+        tails.append(float(mags[min(count, size - 1):].max()))
+    return counts[: len(caps_out)], counts[len(caps_out):], tails
+
+
 def build_lowrank(
     kernel: Kernel, out_mesh: MeshedDomain, in_mesh: MeshedDomain, budget: int, times=None
 ) -> LowRankKernel:
     """Build the Chebyshev surrogate of the kernel matrix.
 
-    Each domain of dimension d gets max(2, ceil(budget**(1/d))) Chebyshev
-    nodes per axis on its interpolation box.  With measurement ``times``
-    the output rows are every location of ``out_mesh`` at every time,
-    location-major and time-minor, and time is sampled at those times, not
-    interpolated: node_values holds the kernel at every (spatial node,
-    time) pair and only coef_space is kept.  With several times the output
-    budget is still split as if time were one more axis.  A disk output
-    mesh is interpolated on its bounding square.  One mesh without times
-    on both sides shares one coefficient matrix.
+    The budget is a cap: a domain of dimension d gets at most
+    max(2, ceil(budget**(1/d))) Chebyshev nodes per axis on its
+    interpolation box.  The kernel is evaluated at the capped node pairs,
+    and each axis is chopped to the degree those values resolve
+    (``_chop``); only then are the n-wide coefficient matrices built, at
+    the chopped counts, and the kernel evaluated again at the chopped
+    nodes when any axis was cut.  The largest trailing coefficients,
+    summed over the axes and taken relative to the largest node value,
+    are the surrogate's ``error_estimate``.
+
+    With measurement ``times`` the output rows are every location of
+    ``out_mesh`` at every time, location-major and time-minor, and time is
+    sampled at those times, not interpolated or chopped: node_values holds
+    the kernel at every (spatial node, time) pair and only coef_space is
+    kept.  With several times the output cap is still split as if time
+    were one more axis.  A disk output mesh is interpolated on its
+    bounding square.  One mesh without times on both sides keeps one count
+    per axis, the larger of its two sides', and one coefficient matrix.
     """
     if times is not None:
         times = np.atleast_1d(np.asarray(times, dtype=float))[:, None]
         if times.size < 1:
             raise ValueError("need at least one measurement time")
     n_t = 1 if times is None else times.size
-    out_each = nodes_per_axis(budget, out_mesh.dim + (n_t > 1))
-    grids_out = [chebyshev_nodes(out_each, lo, hi) for lo, hi in out_mesh.bounds]
-    coef_space = coefficient_matrix(grids_out, out_mesh.points)
-    if in_mesh is out_mesh and times is None:
-        grids_in, coef_in = grids_out, coef_space
-    else:
-        in_each = nodes_per_axis(budget, in_mesh.dim)
-        grids_in = [chebyshev_nodes(in_each, lo, hi) for lo, hi in in_mesh.bounds]
-        coef_in = coefficient_matrix(grids_in, in_mesh.points)
+    same = in_mesh is out_mesh and times is None
+    caps_out = [nodes_per_axis(budget, out_mesh.dim + (n_t > 1))] * out_mesh.dim
+    caps_in = caps_out if same else [nodes_per_axis(budget, in_mesh.dim)] * in_mesh.dim
 
-    # the kernel at every (spatial node, time, input node), spread where it
-    # is constant along one; rows spatial-node-major, time-minor
-    xt = _node_tuples(grids_out)
-    yt = _node_tuples(grids_in)
-    values = kernel(xt[:, None, None, :], yt[None, None, :, :], times)
-    shape = (xt.shape[0], n_t, yt.shape[0])
-    values = np.broadcast_to(values, shape).reshape(-1, shape[2]) * in_mesh.cell_measure
-    return LowRankKernel(coef_space, values, coef_in)
+    def grids(counts, mesh):
+        return [chebyshev_nodes(c, lo, hi) for c, (lo, hi) in zip(counts, mesh.bounds)]
+
+    measure = in_mesh.cell_measure
+    grids_out = grids(caps_out, out_mesh)
+    grids_in = grids_out if same else grids(caps_in, in_mesh)
+    values = _node_values(kernel, grids_out, grids_in, times, measure)
+    counts_out, counts_in, tails = _chop(values, caps_out, caps_in)
+    if same:
+        counts_out = counts_in = [max(a, b) for a, b in zip(counts_out, counts_in)]
+    top = np.abs(values).max()
+    estimate = sum(tails) / top if top > 0.0 else 0.0
+
+    if (counts_out, counts_in) != (caps_out, caps_in):
+        grids_out = grids(counts_out, out_mesh)
+        grids_in = grids_out if same else grids(counts_in, in_mesh)
+        values = _node_values(kernel, grids_out, grids_in, times, measure)
+    coef_space = coefficient_matrix(grids_out, out_mesh.points)
+    coef_in = coef_space if same else coefficient_matrix(grids_in, in_mesh.points)
+    return LowRankKernel(coef_space, values.reshape(-1, values.shape[2]), coef_in, estimate)
 
 
 def lebesgue_constant(grid: Grid1D, sample_count: int = 5001) -> float:

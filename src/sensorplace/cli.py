@@ -292,8 +292,10 @@ def _dense_values(assembled: _Assembled, w_rel, w_int):
 
 def cmd_design(spec: RunSpec) -> dict:
     assembled = _assemble(spec)
-    result, w_int, gap = _design_once(spec.sqp_config(), assembled, assembled.lowrank)
+    lowrank = assembled.lowrank
+    result, w_int, gap = _design_once(spec.sqp_config(), assembled, lowrank)
     relaxed = float(result.objective_trace[-1])
+    nodes_out, nodes_in = lowrank.node_values.shape
     metrics = {
         "objective_surrogate_relaxed": relaxed,
         "objective_surrogate_binary": relaxed + gap,
@@ -303,6 +305,9 @@ def cmd_design(spec: RunSpec) -> dict:
         "sum_w_rel": float(result.weights.w.sum()),
         "sum_w_int": float(w_int.w.sum()),
         "gap_surrogate": gap,
+        "nodes_out": nodes_out,
+        "nodes_in": nodes_in,
+        "surrogate_error_estimate": lowrank.error_estimate,
     }
     dense = _dense_values(assembled, result.weights, w_int)
     if dense is not None:

@@ -26,10 +26,13 @@ COLUMN_BLOCK = 8192
 # well-defined; the QP's Hessian core, PSD but usually rank deficient,
 # drops those at or below 1e-10.  The input Gram of N_in rows drops those
 # at or below N_in * eps of its largest, round-off of a rank-deficient
-# Gram, so its cut is GRAM_CUT_PER_ROW times its size.  The surrogate's
-# input factor drops singular values at or below FACTOR_CUT of its
-# largest; cut on the singular values themselves, since their squares,
-# the eigenvalues of its Gram, lose everything below about 3e-8 of it.
+# Gram, so its cut is GRAM_CUT_PER_ROW times its size; the chop of a
+# Chebyshev axis of N nodes (``chebyshev.build_lowrank``) cuts its
+# coefficients at N * GRAM_CUT_PER_ROW too, the round-off of an N-term
+# transform.  The surrogate's input factor drops singular values at or
+# below FACTOR_CUT of its largest; cut on the singular values themselves,
+# since their squares, the eigenvalues of its Gram, lose everything below
+# about 3e-8 of it.
 SPECTRUM_CUT = 1e-12
 HESSIAN_CUT = 1e-10
 GRAM_CUT_PER_ROW = np.finfo(float).eps

@@ -8,7 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sensorplace import LowRankKernel, NonconvergenceError, dense_objective_value
+from sensorplace import (
+    LowRankKernel,
+    NonconvergenceError,
+    dense_objective_value,
+    node_budget,
+    nodes_per_axis,
+)
 from sensorplace.cli import ConfigError, _assemble, build_runspec, main, parse_config
 
 from oracles import loose_weights
@@ -117,6 +123,28 @@ class TestDesignCommand:
         assert main(["--command", "design", "--config", cfg, "--out", str(out)]) == 0
         metrics = json.loads((out / "summary.json").read_text())["metrics"]
         assert not any(key.startswith("objective_dense_") for key in metrics)
+
+    def test_reports_node_counts(self, tmp_path):
+        # the chosen count per side and the tail estimate sit in metrics,
+        # outside the config block: gauss is chopped below its cap of
+        # ceil(8 log 100) = 37, and the LIDAR counts are its surrogate's
+        runs = {"gauss": "problem = gauss\nn = 100\nnode_constant = 8\n", "lidar": TINY_LIDAR}
+        for name, text in runs.items():
+            cfg = write_config(tmp_path, text, f"{name}.cfg")
+            out = tmp_path / name
+            assert main(["--command", "design", "--config", cfg, "--out", str(out)]) == 0
+            summary = json.loads((out / "summary.json").read_text())
+            metrics = summary["metrics"]
+            assert not {"nodes_out", "nodes_in", "surrogate_error_estimate"} & set(summary["config"])
+            lowrank = _assemble(build_runspec(parse_config(cfg), {})).lowrank
+            assert [metrics["nodes_out"], metrics["nodes_in"]] == list(lowrank.node_values.shape)
+            assert metrics["surrogate_error_estimate"] == lowrank.error_estimate
+            if name == "gauss":
+                assert metrics["nodes_out"] == metrics["nodes_in"] in (22, 23)
+                assert metrics["surrogate_error_estimate"] < 1e-13
+            else:
+                # the output axes keep their cap of 3 at the two times
+                assert metrics["nodes_out"] == nodes_per_axis(node_budget(4.0, 36), 3) ** 2 * 2
 
     def test_deterministic_reruns(self, tmp_path):
         cfg = write_config(tmp_path, TINY_ANALYTIC)
